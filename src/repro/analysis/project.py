@@ -1,4 +1,4 @@
-"""Whole-program rules over the repro package (W1–W4).
+"""Whole-program rules over the repro package (W1–W5).
 
 Where :mod:`repro.analysis.rules` sees one file at a time, this module
 sees the package: it assembles the :class:`ModuleSummary` facts of
@@ -24,6 +24,10 @@ project-scoped rules:
   outside its defining module (façade re-exports in ``__init__`` do
   not count) is dead weight; delete it, underscore it, or suppress
   with a justification.
+- **W5 test-only module** — a package module no production root
+  (``repro.cli``/``api``/``chaos``, the ``__main__`` modules, and the
+  files under ``benchmarks/``, ``examples/``, ``perfbench/`` and
+  ``scripts/``) reaches by static imports is code only the tests run.
 
 The rules are registered in :data:`PROJECT_REGISTRY` (ids ``W1``…)
 and selected through the same ``--select`` surface as the per-file
@@ -41,7 +45,8 @@ from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
 
 from .findings import Finding
 from .modgraph import (ClassSummary, FunctionSummary, ModuleSummary,
-                       collect_refs, package_of, resolve_import_targets)
+                       collect_refs, package_of, resolve_import_targets,
+                       summarize_module)
 
 #: Default layering contract, checked in next to this module.
 DEFAULT_LAYERS_PATH = Path(__file__).resolve().parent / "layers.toml"
@@ -819,3 +824,136 @@ class DeadPublicApi(ProjectRule):
         for cls in summary.classes:
             if cls.is_public:
                 yield cls.name, cls.line, cls.decorators
+
+
+# ----------------------------------------------------------------------
+# W5 — test-only modules
+# ----------------------------------------------------------------------
+
+#: Package modules production code starts from: the console script,
+#: the public API, the chaos harness, and the two ``python -m`` tools.
+W5_ROOT_MODULES: Tuple[str, ...] = (
+    "repro.cli", "repro.api", "repro.chaos", "repro.analysis.__main__",
+    "repro.obs.__main__")
+
+#: Directories beside ``src/`` in which every file is a root. W5 reads
+#: their imports itself, so the per-file rules never lint them.
+W5_ROOT_DIRS: Tuple[str, ...] = ("benchmarks", "examples", "perfbench",
+                                 "scripts")
+
+
+def _root_dir_summaries(package_init: ModuleSummary) -> List[ModuleSummary]:
+    """Summaries of every file under :data:`W5_ROOT_DIRS`.
+
+    The directories are looked up beside the package: next to
+    ``src/`` when the package sits in one, else next to ``repro/``.
+    """
+    base = Path(package_init.path).parent.parent
+    if base.name == "src":
+        base = base.parent
+    summaries: List[ModuleSummary] = []
+    for directory in W5_ROOT_DIRS:
+        for path in sorted((base / directory).rglob("*.py")):
+            try:
+                summaries.append(summarize_module(
+                    path.read_text(encoding="utf-8"), str(path)))
+            except SyntaxError:
+                continue  # an unparsable root imports nothing we can see
+    return summaries
+
+
+@register_project
+class UnreachedModule(ProjectRule):
+    """Package modules no production root imports are test-only code."""
+
+    id = "W5"
+    name = "test-only-module"
+    description = (
+        "a package module that no production root reaches by static "
+        "imports is code only the tests run, if anything does. Roots are "
+        "repro.cli, repro.api, repro.chaos, the two __main__ modules, and "
+        "every file under benchmarks/, examples/, perfbench/ and "
+        "scripts/; package __init__ re-exports resolve to the module "
+        "defining each name. Delete the module, import it from a real "
+        "path, or suppress on its first line with a justification. Runs "
+        "only when the analyzed set covers the whole package plus at "
+        "least one out-of-package file (the tests).")
+
+    def check(self, project: ProjectContext) -> Iterator[Finding]:
+        package_init = project.package_modules.get("repro")
+        if package_init is None:
+            return
+        outside = [summary for summary in project.all_summaries
+                   if summary.module is None]
+        if not outside:
+            return
+        roots = [project.package_modules[module]
+                 for module in W5_ROOT_MODULES
+                 if module in project.package_modules]
+        roots += _root_dir_summaries(package_init)
+        production = self._reached(project, roots)
+        by_tests = self._reached(project, outside)
+        for module in sorted(project.package_modules):
+            summary = project.package_modules[module]
+            if summary.is_package_init or module in production:
+                continue
+            reach = ("only tests import it" if module in by_tests
+                     else "nothing imports it")
+            yield self.finding(
+                summary, 1,
+                f"module '{module}' is unreachable from every production "
+                f"root and {reach}; delete it, import it from a real "
+                "path, or suppress on line 1 with a justification")
+
+    @staticmethod
+    def _reached(project: ProjectContext,
+                 starts: Sequence[ModuleSummary]) -> Set[str]:
+        """Package modules the static imports of *starts* reach.
+
+        ``from package import name`` reaches the module that defines
+        *name* (following ``__init__`` re-export bindings), not every
+        module the package re-exports; importing a package or a name
+        its ``__init__`` defines itself reaches the whole ``__init__``.
+        """
+        reached: Set[str] = set()
+        pending: List[Tuple[str, Optional[str]]] = []
+
+        def follow(summary: ModuleSummary) -> None:
+            for edge in summary.imports:
+                if edge.target not in project.known_modules:
+                    continue
+                if not edge.names:
+                    pending.append((edge.target, None))
+                for name in edge.names:
+                    joined = f"{edge.target}.{name}"
+                    if joined in project.known_modules:
+                        pending.append((joined, None))
+                    else:
+                        pending.append((edge.target, name))
+
+        for summary in starts:
+            if summary.module is not None:
+                reached.add(summary.module)
+            follow(summary)
+        seen: Set[Tuple[str, Optional[str]]] = set()
+        while pending:
+            item = pending.pop()
+            if item in seen:
+                continue
+            seen.add(item)
+            module, name = item
+            summary = project.package_modules[module]
+            if name is not None and summary.is_package_init:
+                target = summary.bindings.get(name)
+                if target is not None and target != name:
+                    prefix, _, leaf = target.rpartition(".")
+                    if target in project.known_modules:
+                        pending.append((target, None))
+                        continue
+                    if prefix in project.known_modules:
+                        pending.append((prefix, leaf))
+                        continue
+            if module not in reached:
+                reached.add(module)
+                follow(summary)
+        return reached

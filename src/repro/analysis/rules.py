@@ -96,7 +96,7 @@ class Rule:
 REGISTRY: Dict[str, Type[Rule]] = {}
 
 
-def register(rule_class: Type[Rule]) -> Type[Rule]:
+def register(rule_class: Type[Rule]) -> Type[Rule]:  # repro: ignore[W4] -- the plug-in decorator docs/ANALYSIS.md tells rule authors to apply; every rule below is registered through it
     """Class decorator adding *rule_class* to :data:`REGISTRY`."""
     if not rule_class.id:
         raise ValueError(f"rule {rule_class.__name__} has no id")

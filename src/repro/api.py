@@ -233,12 +233,10 @@ class MaintenanceStats:
         landmarks_rebuilt: Landmark re-propagations performed (one per
             landmark per refresh round).
         rebuild_rounds: Refresh rounds triggered (eager: one per event;
-            batch/TTL: one per flush; incremental: one per dirty-frontier
-            refresh).
-        sources_propagated: Total propagation sources actually walked —
-            for full rebuilds this equals ``landmarks_rebuilt``; the
-            dirty-frontier maintainer re-propagates only dirty landmarks,
-            so this is the numerator of the ≥5x-savings acceptance gate.
+            batch/TTL/incremental: one per flush).
+        sources_propagated: Total propagation sources actually walked;
+            every maintainer propagates one source per rebuilt
+            landmark, so this equals ``landmarks_rebuilt``.
     """
 
     events_seen: int = 0

@@ -12,6 +12,9 @@ Subcommands::
     repro shard graph.jsonl --user 42 --topic technology --shards 4
     repro churn graph.jsonl --events 500 --seed 3 --out churned.jsonl
     repro ingest graph.jsonl --events 500 --seed 3 --shards 4 --compact-every 64
+
+Exit codes: 0 success, 1 no results, 2 bad arguments (including
+``ConfigurationError``), 3 any other ``ReproError`` — see :func:`main`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .datasets import (
     generate_twitter_graph,
     generate_twitter_snapshot_stream,
 )
+from .errors import ConfigurationError, ReproError
 from .eval import (
     LinkPredictionProtocol,
     katz_scorer,
@@ -393,17 +397,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.obs:
-        from . import obs
+    """CLI entry point; returns the process exit code.
 
-        obs.enable()
-        try:
-            return args.handler(args)
-        finally:
-            print(obs.render_text(obs.snapshot()), file=sys.stderr)
-    return args.handler(args)
+    Exit codes: 0 success; 1 the command produced no results; 2 bad
+    arguments (argparse errors and :class:`~repro.errors.ConfigurationError`);
+    3 any other :class:`~repro.errors.ReproError`. A library error
+    prints one line, ``repro: <ErrorClass>: <message>``, on stderr and
+    no traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        if args.obs:
+            from . import obs
+
+            obs.enable()
+            try:
+                return args.handler(args)
+            finally:
+                print(obs.render_text(obs.snapshot()), file=sys.stderr)
+        return args.handler(args)
+    except ReproError as exc:
+        # str() of the KeyError-derived errors would quote the message.
+        message = exc.args[0] if len(exc.args) == 1 else str(exc)
+        print(f"repro: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigurationError) else 3
 
 
 if __name__ == "__main__":

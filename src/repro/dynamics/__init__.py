@@ -10,9 +10,9 @@ scores stored by the landmarks." This subpackage implements it:
 - landmark-index maintenance policies — eager, batched-lazy, TTL, and
   no-op — plus a staleness probe that quantifies how far stored
   recommendations drift from fresh ones (:mod:`maintenance`);
-- the exact dirty-frontier :class:`IncrementalMaintainer`
-  (:mod:`incremental`), bitwise-identical to a from-scratch rebuild at
-  a fraction of the propagation cost.
+- the exact :class:`IncrementalMaintainer` (:mod:`incremental`), which
+  refreshes every landmark per flush and stays bitwise-identical to a
+  from-scratch rebuild.
 
 All five maintainers satisfy the runtime-checkable
 :class:`repro.api.Maintainer` protocol and report the same frozen

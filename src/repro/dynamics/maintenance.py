@@ -37,7 +37,7 @@ from ..core.scores import AuthorityIndex
 from ..errors import ConfigurationError
 from ..eval.metrics import kendall_tau_distance
 from ..graph.labeled_graph import LabeledSocialGraph
-from ..landmarks.index import LandmarkEntry, LandmarkIndex
+from ..landmarks.index import LandmarkIndex
 from .events import EdgeEvent
 
 __all__ = [
@@ -51,7 +51,12 @@ __all__ = [
 
 
 class _BaseMaintainer:
-    """Shared rebuild machinery; subclasses decide *when* to rebuild."""
+    """Shared rebuild machinery; subclasses decide *when* to rebuild.
+
+    Rebuilds propagate with the index's own engine, decay parameters
+    and ``precompute_depth`` (:meth:`LandmarkIndex.refresh`), whatever
+    *params* says, so a rebuilt list matches the build bitwise.
+    """
 
     def __init__(self, graph: LabeledSocialGraph, index: LandmarkIndex,
                  topics: Sequence[str], similarity,
@@ -97,29 +102,25 @@ class _BaseMaintainer:
         return touched
 
     def rebuild(self, landmarks: Sequence[int]) -> None:
-        """Re-run Algorithm 1 for *landmarks* and refresh the lists."""
+        """Re-run Algorithm 1 for *landmarks* and refresh the lists.
+
+        Goes through :meth:`LandmarkIndex.refresh`, the build's own list
+        builder, so a rebuilt list is bitwise-identical to what a
+        from-scratch build on the current graph stores.
+        """
         if not landmarks:
             return
-        authority = AuthorityIndex(self.graph)
-        for landmark in landmarks:
-            state = single_source_scores(
-                self.graph, landmark, self.topics, self.similarity,
-                authority=authority, params=self.params)
-            for topic in self.topics:
-                ranked = state.ranked(
-                    topic, top_n=self.index.landmark_params.top_n,
-                    exclude=(landmark,))
-                self.index.set_recommendations(landmark, topic, [
-                    LandmarkEntry(node=node, score=score,
-                                  topo=state.topo_beta.get(node, 0.0),
-                                  topo_ab=state.topo_alphabeta.get(node, 0.0))
-                    for node, score in ranked
-                ])
-            self._landmarks_rebuilt += 1
-            self._sources_propagated += 1
-            self.rebuilt_ever.add(landmark)
-        self._rebuild_rounds += 1
+        refreshed = self.index.refresh(self.graph, landmarks, self.topics,
+                                       self.similarity)
+        self._count_refresh(refreshed, landmarks)
         self._rebuild_watch_index()
+
+    def _count_refresh(self, refreshed: int,
+                       landmarks: Sequence[int]) -> None:
+        self._landmarks_rebuilt += refreshed
+        self._sources_propagated += refreshed
+        self._rebuild_rounds += 1
+        self.rebuilt_ever.update(landmarks)
 
     def on_event(self, event: EdgeEvent) -> None:
         raise NotImplementedError

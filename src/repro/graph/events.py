@@ -2,8 +2,8 @@
 
 The event dataclasses live in :mod:`repro.graph` — not in
 :mod:`repro.dynamics`, which *produces* streams of them — because the
-write-ahead log (:mod:`repro.landmarks.wal`) and the serving platform
-also speak this vocabulary. Layering (``docs/ARCHITECTURE.md``,
+write-ahead log (:mod:`repro.landmarks.wal`) and the ingest path
+(:mod:`repro.ingest`) also speak this vocabulary. Layering (``docs/ARCHITECTURE.md``,
 ``src/repro/analysis/layers.toml``) puts ``graph`` below both, so the
 shared shape sits here and the churn *simulation* stays in
 :mod:`repro.dynamics.events`.

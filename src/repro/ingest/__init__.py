@@ -8,8 +8,8 @@ tier:
 
 - writes land on a :class:`~repro.graph.overlay.DeltaSnapshot` overlay
   (cheap per-event deltas; the serving snapshot stays pinned);
-- an :class:`~repro.dynamics.incremental.IncrementalMaintainer` buffers
-  the churn frontier so only affected landmarks re-propagate;
+- an :class:`~repro.dynamics.incremental.IncrementalMaintainer` counts
+  applied events and re-propagates every landmark once per compaction;
 - a :class:`CompactionPolicy` decides when to fold the overlay into a
   fresh base, and :class:`IngestPipeline` hands that base to
   :meth:`~repro.distributed.sharded.ShardedPlatform.begin_rollover`,

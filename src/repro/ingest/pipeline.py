@@ -8,9 +8,10 @@ The pipeline keeps three invariants the chaos suite leans on:
    :class:`~repro.errors.StaleSnapshotError` about.
 2. **Compaction equals replay.** The compacted base is bit-identical
    to a from-scratch ``LabeledSocialGraph.snapshot()`` over the same
-   event sequence (``tests/graph/test_overlay.py``), and the
-   dirty-frontier index refresh at each compaction is bit-identical
-   to a from-scratch :meth:`LandmarkIndex.build` over that base.
+   event sequence (``tests/graph/test_overlay.py``), and the index
+   refresh at each compaction — every landmark, through the build's
+   own list builder — is bit-identical to a from-scratch
+   :meth:`LandmarkIndex.build` over that base.
 3. **Rollovers are budgeted, not per-event.** The
    :class:`CompactionPolicy` triggers on event count, overlay size, or
    wall clock — whichever fires first — so ingest throughput is
@@ -94,7 +95,8 @@ class IngestPipeline:
         maintainer: Landmark maintainer override; by default an
             :class:`~repro.dynamics.incremental.IncrementalMaintainer`
             with ``flush_every=0`` is created over the overlay and
-            flushed once per compaction against the compacted base.
+            flushed once per compaction against the compacted base,
+            which refreshes every landmark.
         auto_flip: Flip each rollover immediately after warming. The
             chaos harness passes ``False`` to stretch the
             pending-rollover window across request waves; a pending
@@ -188,11 +190,11 @@ class IngestPipeline:
 
         The sequence: flip any rollover still pending from a previous
         ``auto_flip=False`` compaction; compact the overlay; flush the
-        maintainer against the compacted base (bitwise-equal to a full
-        rebuild, at dirty-frontier cost); hand base + refreshed index
-        to :meth:`ShardedPlatform.begin_rollover`; flip (unless
-        ``auto_flip=False`` — then the caller owns the flip); start a
-        fresh overlay over the new base.
+        maintainer against the compacted base (one batched refresh of
+        every landmark, bitwise-equal to a full rebuild); hand base +
+        refreshed index to :meth:`ShardedPlatform.begin_rollover`; flip
+        (unless ``auto_flip=False`` — then the caller owns the flip);
+        start a fresh overlay over the new base.
 
         Returns the compacted base snapshot.
         """

@@ -13,6 +13,11 @@ engine of :mod:`repro.core.fast`, which propagates whole blocks of
 landmarks as sparse mat–mat products. Both honour the same stopping
 rule and the ``precompute_depth`` cap, so the stored lists are
 identical up to floating-point accumulation order.
+
+:meth:`LandmarkIndex.build` and :meth:`LandmarkIndex.refresh` (the
+path every maintainer and the ingest pipeline re-propagate through)
+share one list builder, so a refreshed list is bitwise-identical to
+what a from-scratch build on the same graph stores.
 """
 
 from __future__ import annotations
@@ -21,13 +26,14 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..config import EngineParams, LandmarkParams, ScoreParams
 from ..core.exact import ScoreState, _MaxSimCache, single_source_scores
 from ..core.fast import SparseEngine, resolve_engine
 from ..core.scores import AuthorityIndex
-from ..graph.snapshot import GraphLike, GraphSnapshot, as_snapshot
+from ..graph.snapshot import GraphLike, as_snapshot
 from ..obs import runtime as _obs
 from ..semantics.matrix import SimilarityMatrix
 
@@ -41,14 +47,31 @@ class LandmarkEntry:
         score: ``σ(λ, v, t)`` — the landmark's Tr score for ``v``.
         topo: ``topo_β(λ, v)`` — the landmark's Katz score for ``v``.
         topo_ab: ``topo_{αβ}(λ, v)`` — the combined-decay topological
-            score, needed by the incremental (first-order delta) update
-            strategy of :mod:`repro.dynamics.incremental`.
+            score, stored with the list and in the on-disk format.
     """
 
     node: int
     score: float
     topo: float
     topo_ab: float = 0.0
+
+
+def _entries_for(state: ScoreState, landmark: int, topics: Sequence[str],
+                 top_n: int) -> Dict[str, List[LandmarkEntry]]:
+    """Turn one propagation state into per-topic inverted lists."""
+    per_topic: Dict[str, List[LandmarkEntry]] = {}
+    for topic in topics:
+        ranked = state.ranked(topic, top_n=top_n, exclude=(landmark,))
+        per_topic[topic] = [
+            LandmarkEntry(
+                node=node,
+                score=score,
+                topo=state.topo_beta.get(node, 0.0),
+                topo_ab=state.topo_alphabeta.get(node, 0.0),
+            )
+            for node, score in ranked
+        ]
+    return per_topic
 
 
 class LandmarkIndex:
@@ -144,102 +167,130 @@ class LandmarkIndex:
         snapshot = as_snapshot(graph)
         shared_authority = (authority if authority is not None
                             else snapshot.authority())
-        max_depth = landmark_params.precompute_depth
-        topic_list = list(topics)
 
         with _obs.span("landmarks.build") as _sp:
             if _sp:
-                _sp.set(landmarks=len(landmarks), topics=len(topic_list),
+                _sp.set(landmarks=len(landmarks), topics=len(topics),
                         engine=resolved, top_n=landmark_params.top_n)
-            if resolved == "sparse":
-                cls._build_sparse(index, snapshot, list(landmarks),
-                                  topic_list, similarity, shared_authority,
-                                  engine_params.batch_size, max_depth)
-            else:
-                cls._build_dict(index, snapshot, list(landmarks), topic_list,
-                                similarity, shared_authority,
-                                engine_params.workers, max_depth)
+            for landmark, per_topic, seconds in index._propagate(
+                    snapshot, landmarks, topics, similarity,
+                    shared_authority, "landmarks.build",
+                    batch_size=engine_params.batch_size,
+                    workers=engine_params.workers):
+                index._lists[landmark] = per_topic
+                index.build_seconds[landmark] = seconds
             _obs.count("landmarks.builds_total")
             _obs.count("landmarks.built_total", len(landmarks))
         return index
 
-    @staticmethod
-    def _entries_for(state: ScoreState, landmark: int, topics: Sequence[str],
-                     top_n: int) -> Dict[str, List[LandmarkEntry]]:
-        """Turn one propagation state into per-topic inverted lists."""
-        per_topic: Dict[str, List[LandmarkEntry]] = {}
-        for topic in topics:
-            ranked = state.ranked(topic, top_n=top_n, exclude=(landmark,))
-            per_topic[topic] = [
-                LandmarkEntry(
-                    node=node,
-                    score=score,
-                    topo=state.topo_beta.get(node, 0.0),
-                    topo_ab=state.topo_alphabeta.get(node, 0.0),
-                )
-                for node, score in ranked
-            ]
-        return per_topic
+    def refresh(self, graph: GraphLike, landmarks: Sequence[int],
+                topics: Sequence[str], similarity: SimilarityMatrix) -> int:
+        """Re-run Algorithm 1 for *landmarks* over *graph*, in place.
 
-    @classmethod
-    def _build_dict(cls, index: "LandmarkIndex", snapshot: GraphSnapshot,
-                    landmarks: List[int], topics: List[str],
-                    similarity: SimilarityMatrix,
-                    authority: AuthorityIndex, workers: int,
-                    max_depth: Optional[int]) -> None:
-        """Reference-engine build, optionally fanned out over threads."""
+        Propagates exactly as :meth:`build` does — this index's engine,
+        decay parameters and ``precompute_depth`` — so the refreshed
+        lists are bitwise-identical to what a from-scratch build over
+        *graph* stores. Lists are installed via
+        :meth:`set_recommendations`, so versions bump and cached
+        vectorised views invalidate.
+
+        Args:
+            graph: The graph to propagate over: a live graph, a
+                snapshot, or a :class:`~repro.graph.overlay.DeltaSnapshot`.
+            landmarks: Landmarks to re-propagate.
+            topics: Topics to refresh lists for.
+            similarity: Topic-similarity matrix.
+
+        Returns:
+            The number of landmarks re-propagated.
+        """
+        snapshot = as_snapshot(graph)
+        with _obs.span("landmarks.refresh") as _sp:
+            if _sp:
+                _sp.set(landmarks=len(landmarks), engine=self.engine_used)
+            for landmark, per_topic, _ in self._propagate(
+                    snapshot, landmarks, topics, similarity,
+                    AuthorityIndex(snapshot), "landmarks.refresh"):
+                for topic, entries in per_topic.items():
+                    self.set_recommendations(landmark, topic, entries)
+        _obs.count("landmarks.refreshed_total", len(landmarks))
+        return len(landmarks)
+
+    def _propagate(
+        self,
+        snapshot: GraphLike,
+        landmarks: Sequence[int],
+        topics: Sequence[str],
+        similarity: SimilarityMatrix,
+        authority: AuthorityIndex,
+        span: str,
+        batch_size: int = EngineParams().batch_size,
+        workers: int = 1,
+    ) -> Iterator[Tuple[int, Dict[str, List[LandmarkEntry]], float]]:
+        """Algorithm 1 for *landmarks* with this index's engine and depth.
+
+        The one list builder behind :meth:`build` and :meth:`refresh`.
+        The sparse engine propagates *batch_size* landmarks per mat–mat
+        block, timed as ``<span>_batch``; the dict engine runs one
+        landmark at a time, timed as ``<span>_one`` and fanned out over
+        *workers* threads. *span* is the caller's own span name, so
+        build and refresh time stay apart in the stage report.
+
+        Yields:
+            ``(landmark, per-topic lists, seconds)`` in *landmarks*
+            order; a block's elapsed time is shared evenly across its
+            landmarks.
+        """
+        todo = list(landmarks)
+        topic_list = list(topics)
+        engine = (self.engine_used if self.engine_used is not None
+                  else resolve_engine("auto"))
+        max_depth = self.landmark_params.precompute_depth
+        top_n = self.landmark_params.top_n
+
+        if engine == "sparse":
+            sparse = SparseEngine(snapshot, similarity, self.params,
+                                  authority=authority)
+            for start in range(0, len(todo), batch_size):
+                block = todo[start:start + batch_size]
+                watch = _obs.timed_span(f"{span}_batch")
+                with watch:
+                    if watch:
+                        watch.set(batch=len(block))
+                    states = sparse.multi_source(block, topic_list,
+                                                 max_depth=max_depth)
+                    lists = [_entries_for(state, landmark, topic_list, top_n)
+                             for landmark, state in zip(block, states)]
+                share = watch.elapsed / len(block)
+                for landmark, per_topic in zip(block, lists):
+                    yield landmark, per_topic, share
+            return
+
         sim_cache = _MaxSimCache(similarity)
-        top_n = index.landmark_params.top_n
 
         def run_one(landmark: int) -> Tuple[Dict[str, List[LandmarkEntry]],
                                             float]:
-            watch = _obs.timed_span("landmarks.build_one")
+            watch = _obs.timed_span(f"{span}_one")
             with watch:
                 if watch:
                     watch.set(landmark=landmark)
                 state = single_source_scores(
-                    snapshot, landmark, topics, similarity,
-                    authority=authority, params=index.params,
+                    snapshot, landmark, topic_list, similarity,
+                    authority=authority, params=self.params,
                     max_depth=max_depth, sim_cache=sim_cache)
-                per_topic = cls._entries_for(state, landmark, topics, top_n)
+                per_topic = _entries_for(state, landmark, topic_list, top_n)
             return per_topic, watch.elapsed
 
-        if workers > 1 and len(landmarks) > 1:
+        if workers > 1 and len(todo) > 1:
             # Warm the shared caches serially once so the concurrent
             # propagations only read them.
-            authority.warm(topics)
+            authority.warm(topic_list)
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_one, landmarks))
+                results = list(pool.map(run_one, todo))
         else:
-            results = [run_one(landmark) for landmark in landmarks]
-        for landmark, (per_topic, elapsed) in zip(landmarks, results):
-            index._lists[landmark] = per_topic
-            index.build_seconds[landmark] = elapsed
-
-    @classmethod
-    def _build_sparse(cls, index: "LandmarkIndex", snapshot: GraphSnapshot,
-                      landmarks: List[int], topics: List[str],
-                      similarity: SimilarityMatrix,
-                      authority: AuthorityIndex, batch_size: int,
-                      max_depth: Optional[int]) -> None:
-        """Batched CSR build: one mat–mat propagation per block."""
-        engine = SparseEngine(snapshot, similarity, index.params,
-                              authority=authority)
-        top_n = index.landmark_params.top_n
-        for start in range(0, len(landmarks), batch_size):
-            block = landmarks[start:start + batch_size]
-            watch = _obs.timed_span("landmarks.build_batch")
-            with watch:
-                if watch:
-                    watch.set(batch=len(block))
-                states = engine.multi_source(block, topics,
-                                             max_depth=max_depth)
-                for landmark, state in zip(block, states):
-                    index._lists[landmark] = cls._entries_for(
-                        state, landmark, topics, top_n)
-            share = watch.elapsed / len(block)
-            for landmark in block:
-                index.build_seconds[landmark] = share
+            results = [run_one(landmark) for landmark in todo]
+        for landmark, (per_topic, seconds) in zip(todo, results):
+            yield landmark, per_topic, seconds
 
     # ------------------------------------------------------------------
     @property

@@ -1,19 +1,11 @@
-"""Write-ahead log + snapshot persistence for a dynamic landmark index.
+# repro: ignore[W5] -- the durable ingest log (ROADMAP item 6) reuses this CRC framing; only its tests import it until then
+"""CRC-framed write-ahead log of follow/unfollow events.
 
-The maintenance policies of :mod:`repro.dynamics` keep an in-memory
-index fresh; this module makes that durable the way a database would:
-
-- every follow/unfollow event is appended to a **write-ahead log**
-  before being applied (checksummed, length-prefixed records — same
-  hygiene as the index snapshot format);
-- a **snapshot** (the :mod:`repro.landmarks.storage` format) is cut
-  whenever the log grows past a threshold, after which the log is
-  truncated;
-- **recovery** loads the latest snapshot and replays the tail of the
-  log through a maintainer, reproducing the pre-crash index state.
-
-The replay path goes through the same maintainer code as live traffic,
-so recovery is exercised by exactly the logic the tests already verify.
+Every event is appended as one length-prefixed, checksummed record
+before it is applied — the same hygiene as the index snapshot format —
+so a replay after a crash either yields the exact logged prefix or
+raises :class:`~repro.errors.CorruptRecordError`; a torn final record
+(a crash mid-append) ends the replay cleanly.
 """
 
 from __future__ import annotations
@@ -21,13 +13,11 @@ from __future__ import annotations
 import struct
 import zlib
 from pathlib import Path
-from typing import Callable, Iterator, List, Tuple, Union
+from typing import Iterator, List, Union
 
 from ..errors import CorruptRecordError, StorageError
 from ..graph.events import EdgeEvent, EventKind
 from ..utils.varint import decode_uvarint, encode_uvarint
-from .index import LandmarkIndex
-from .storage import load_index, save_index
 
 PathLike = Union[str, Path]
 
@@ -132,93 +122,5 @@ class WriteAheadLog:
         return sum(1 for _ in self.replay())
 
     def truncate(self) -> None:
-        """Reset the log (after a successful snapshot)."""
+        """Reset the log (after a successful checkpoint)."""
         self.path.write_bytes(_WAL_MAGIC + bytes([_WAL_VERSION]))
-
-
-class DurableIndex:
-    """A landmark index with WAL + snapshot durability.
-
-    Args:
-        index: The live in-memory index.
-        directory: Where ``snapshot.rplm`` and ``events.wal`` live.
-        apply_event: Callback that applies one event to the live state
-            (typically ``maintainer.on_event`` composed with the graph
-            mutation); used verbatim during recovery replay.
-        snapshot_every: Cut a snapshot after this many logged events.
-    """
-
-    SNAPSHOT_NAME = "snapshot.rplm"
-    WAL_NAME = "events.wal"
-
-    def __init__(self, index: LandmarkIndex, directory: PathLike,
-                 apply_event: Callable[[EdgeEvent], None],
-                 snapshot_every: int = 1000) -> None:
-        if snapshot_every < 1:
-            raise StorageError("snapshot_every must be >= 1")
-        self.index = index
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._apply = apply_event
-        self.snapshot_every = snapshot_every
-        self.wal = WriteAheadLog(self.directory / self.WAL_NAME)
-        self._since_snapshot = len(self.wal)
-        if not (self.directory / self.SNAPSHOT_NAME).exists():
-            save_index(index, self.directory / self.SNAPSHOT_NAME)
-
-    def record(self, event: EdgeEvent) -> None:
-        """Log, then apply, one event (write-ahead ordering)."""
-        self.wal.append(event)
-        self._apply(event)
-        self._since_snapshot += 1
-        if self._since_snapshot >= self.snapshot_every:
-            self.snapshot()
-
-    def snapshot(self) -> Path:
-        """Persist the live index and truncate the log."""
-        path = self.directory / self.SNAPSHOT_NAME
-        save_index(self.index, path)
-        self.wal.truncate()
-        self._since_snapshot = 0
-        return path
-
-    @classmethod
-    def recover(cls, directory: PathLike,
-                apply_event: Callable[[EdgeEvent], None],
-                install_index: Callable[[LandmarkIndex], None],
-                snapshot_every: int = 1000) -> Tuple["DurableIndex", int]:
-        """Rebuild the live state after a crash.
-
-        Args:
-            directory: The durability directory.
-            apply_event: Same callback as the live path; replayed
-                events go through it.
-            install_index: Receives the snapshot index so the caller
-                can wire it into its maintainer *before* replay starts.
-
-        Returns:
-            ``(durable, replayed)`` — the re-armed durable wrapper and
-            the number of events replayed from the log.
-
-        Raises:
-            StorageError: when no snapshot exists.
-        """
-        directory = Path(directory)
-        snapshot_path = directory / cls.SNAPSHOT_NAME
-        if not snapshot_path.exists():
-            raise StorageError(f"no snapshot in {directory}")
-        index = load_index(snapshot_path)
-        install_index(index)
-        wal = WriteAheadLog(directory / cls.WAL_NAME)
-        replayed = 0
-        for event in wal.replay():
-            apply_event(event)
-            replayed += 1
-        durable = cls.__new__(cls)
-        durable.index = index
-        durable.directory = directory
-        durable._apply = apply_event
-        durable.snapshot_every = snapshot_every
-        durable.wal = wal
-        durable._since_snapshot = replayed
-        return durable, replayed

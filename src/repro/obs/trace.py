@@ -4,19 +4,16 @@ A :class:`Span` measures one stage of work with
 :func:`time.perf_counter` (via :mod:`repro.obs.clock`) and carries
 free-form attributes (``depth``, ``landmarks_hit``, ``frontier_size``,
 …). Spans nest: entering a span while another is active on the same
-thread links it as a child, so one who-to-follow request produces a
-tree like::
+thread links it as a child, so one landmark recommendation (dict
+query engine) produces a tree like::
 
-    platform.who_to_follow
-      platform.rank
-        approx.recommend
-          approx.query
-            approx.explore
-              exact.single_source
-                exact.iteration × k
-            approx.compose
-          approx.rank
-      platform.hydrate
+    approx.recommend
+      approx.query
+        approx.explore
+          exact.single_source
+            exact.iteration × k
+        approx.compose
+      approx.rank
 
 The tracer keeps one active-span stack **per thread** (the dict engine
 fans landmark builds out over a thread pool), and completed root spans

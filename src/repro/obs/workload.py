@@ -270,8 +270,8 @@ def run_smoke(nodes: int = 0, seed: int = 0, landmarks: int = 0,
         # Stage 7 — the event-stream ingest path. Churn events stream
         # through the delta overlay with a budgeted compaction every
         # ``compact_every`` applied events; each compaction folds the
-        # overlay into a fresh base, refreshes only the dirty-frontier
-        # landmarks, and rolls the serving tier over to the new epoch.
+        # overlay into a fresh base, refreshes every landmark, and rolls
+        # the serving tier over to the new epoch.
         # Per-event latency p50/p99 lands under ``workload.ingest``
         # (compaction submits are the tail), and the
         # ``workload.ingest.events_per_sec`` gauge measures

@@ -1,8 +1,8 @@
 """Whole-program pass: layering (W1), dropped flags (W2), exception
-contracts (W3), dead public API (W4), and the CLI gate over fixture
-trees — including the two acceptance fixtures, a deliberately
-introduced layering violation and a dropped-``allow_stale`` call, each
-of which must fail the gate."""
+contracts (W3), dead public API (W4), test-only modules (W5), and the
+CLI gate over fixture trees — including the two acceptance fixtures, a
+deliberately introduced layering violation and a dropped-``allow_stale``
+call, each of which must fail the gate."""
 
 import textwrap
 
@@ -19,6 +19,7 @@ from repro.analysis import (
     summarize_module,
 )
 from repro.analysis.__main__ import main
+from repro.analysis.engine import run_analysis
 from repro.analysis.project import PROJECT_REGISTRY, ProjectContext
 from repro.analysis import project as project_module
 
@@ -330,11 +331,74 @@ class TestW4DeadPublicApi:
         assert run_rule("W4", summaries) == []
 
 
+#: A fixture repo: the CLI root reaches ``scoring``, an example reaches
+#: ``demo_only`` through a package re-export, and only a test imports
+#: ``test_only`` (which the package ``__init__`` also re-exports).
+W5_TREE = {
+    "src/repro/__init__.py": "",
+    "src/repro/cli.py": "from repro.core import scoring\n",
+    "src/repro/core/__init__.py": (
+        "from .demo_only import render\nfrom .test_only import helper\n"),
+    "src/repro/core/scoring.py": "def score():\n    return 1\n",
+    "src/repro/core/demo_only.py": "def render():\n    return 2\n",
+    "src/repro/core/test_only.py": "def helper():\n    return 3\n",
+    "tests/test_core.py": (
+        "from repro.core.test_only import helper\n"
+        "from repro.core import render, scoring\n"),
+    "examples/demo.py": "from repro.core import render\n",
+}
+
+
+class TestW5TestOnlyModules:
+    def _run(self, tmp_path, overrides=(), dirs=("src", "tests")):
+        files = dict(W5_TREE, **dict(overrides))
+        for relative, body in files.items():
+            path = tmp_path / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(body, encoding="utf-8")
+        return run_analysis([str(tmp_path / d) for d in dirs],
+                            select=["W5"]).findings
+
+    def test_module_imported_only_by_a_test_is_flagged(self, tmp_path):
+        findings = self._run(tmp_path)
+        assert [(f.rule, f.line) for f in findings] == [("W5", 1)]
+        assert findings[0].path.endswith("test_only.py")
+        assert "only tests import it" in findings[0].message
+
+    def test_module_imported_by_an_example_is_not(self, tmp_path):
+        findings = self._run(tmp_path)
+        assert not any(f.path.endswith("demo_only.py") for f in findings)
+        # Once the example stops importing it, nothing in production
+        # reaches it.
+        findings = self._run(tmp_path, {"examples/demo.py": ""})
+        assert sorted(f.path.rsplit("/", 1)[-1] for f in findings) == [
+            "demo_only.py", "test_only.py"]
+
+    def test_justified_suppression_silences_the_module(self, tmp_path):
+        findings = self._run(tmp_path, {
+            "src/repro/core/test_only.py": (
+                "# repro: ignore[W5] -- kept for a planned consumer\n"
+                "def helper():\n    return 3\n")})
+        assert findings == []
+
+    def test_suppression_needs_a_justification(self, tmp_path):
+        findings = self._run(tmp_path, {
+            "src/repro/core/test_only.py": (
+                "# repro: ignore[W5]\n"
+                "def helper():\n    return 3\n")})
+        assert [f.rule for f in findings] == ["R0"]
+        assert "justification" in findings[0].message
+
+    def test_partial_runs_do_not_fire(self, tmp_path):
+        assert self._run(tmp_path, dirs=("src",)) == []
+
+
 class TestProjectRulePlumbing:
     def test_registry_contains_w1_through_w4(self):
-        assert set(PROJECT_REGISTRY) == {"W1", "W2", "W3", "W4"}
+        assert set(PROJECT_REGISTRY) == {"W1", "W2", "W3", "W4", "W5"}
         instances = all_project_rules()
-        assert [rule.id for rule in instances] == ["W1", "W2", "W3", "W4"]
+        assert [rule.id for rule in instances] == [
+            "W1", "W2", "W3", "W4", "W5"]
         for rule in instances:
             assert rule.name and rule.description
 

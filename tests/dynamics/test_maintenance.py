@@ -4,11 +4,13 @@ import pytest
 
 from repro import ScoreParams
 from repro.config import LandmarkParams
+from repro.core.fast import scipy_available
 from repro.datasets import generate_twitter_graph
 from repro.dynamics import (
     BatchMaintainer,
     EagerMaintainer,
     GraphStream,
+    IncrementalMaintainer,
     NoOpMaintainer,
     TTLMaintainer,
     measure_staleness,
@@ -209,10 +211,14 @@ class TestRebuildCorrectness:
                 assert ours.score == pytest.approx(theirs.score)
 
     def test_rebuild_bitwise_matches_fresh_dict_build(self, world, web_sim):
-        """Entries written by ``rebuild`` are bitwise-identical to a
-        fresh dict-engine build — same propagation, same accumulation
-        order, byte-for-byte the same floats."""
-        graph, index = world
+        """Entries ``rebuild`` writes into a dict-built index are
+        bitwise-identical to a fresh dict-engine build — same
+        propagation, same accumulation order, byte-for-byte the same
+        floats."""
+        graph, built = world
+        index = LandmarkIndex.build(
+            graph, list(built.landmarks), [TOPIC], web_sim, params=PARAMS,
+            landmark_params=built.landmark_params, engine="dict")
         maintainer = NoOpMaintainer(graph, index, [TOPIC], web_sim, PARAMS)
         stream = GraphStream(graph)
         stream.subscribe(maintainer.on_event)
@@ -230,3 +236,43 @@ class TestRebuildCorrectness:
                 assert ours.score == theirs.score
                 assert ours.topo == theirs.topo
                 assert ours.topo_ab == theirs.topo_ab
+
+
+REBUILD_ENGINES = ["dict"] + (["sparse"] if scipy_available() else [])
+DEFAULT_DEPTH = LandmarkParams().precompute_depth
+
+
+class TestRebuildMatchesBuild:
+    """Every maintainer's ``rebuild`` goes through the build's own list
+    builder: on an unchanged graph it must rewrite every list bitwise
+    as the build stored it, whatever the engine and depth cap."""
+
+    @pytest.mark.parametrize("depth", [2, DEFAULT_DEPTH],
+                             ids=["depth2", "default-depth"])
+    @pytest.mark.parametrize("engine", REBUILD_ENGINES)
+    @pytest.mark.parametrize("policy", [EagerMaintainer, BatchMaintainer,
+                                        TTLMaintainer, IncrementalMaintainer])
+    def test_rebuild_on_unchanged_graph_is_bitwise(self, web_sim, policy,
+                                                   engine, depth):
+        graph = generate_twitter_graph(400, seed=58)
+        landmarks = select_landmarks(graph, "In-Deg", 6, rng=1)
+        landmark_params = LandmarkParams(num_landmarks=6, top_n=50,
+                                         query_depth=2,
+                                         precompute_depth=depth)
+
+        def build():
+            return LandmarkIndex.build(
+                graph, landmarks, [TOPIC], web_sim, params=PARAMS,
+                landmark_params=landmark_params, engine=engine)
+
+        reference = build()
+        index = build()
+        maintainer = policy(graph, index, [TOPIC], web_sim, PARAMS)
+        maintainer.rebuild(list(index.landmarks))
+        assert maintainer.stats.landmarks_rebuilt == len(landmarks)
+        for landmark in landmarks:
+            ours = index.recommendations(landmark, TOPIC)
+            theirs = reference.recommendations(landmark, TOPIC)
+            assert [(e.node, e.score, e.topo, e.topo_ab) for e in ours] == \
+                [(e.node, e.score, e.topo, e.topo_ab) for e in theirs], \
+                f"landmark {landmark} diverged from the build"

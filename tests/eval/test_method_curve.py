@@ -1,22 +1,8 @@
-"""Focused tests for MethodCurve and scorer adapters."""
+"""Focused tests for MethodCurve."""
 
 import pytest
 
-from repro import Recommender, ScoreParams
-from repro.config import EvaluationParams, LandmarkParams
-from repro.datasets import generate_twitter_graph
-from repro.eval import LinkPredictionProtocol, landmark_scorer, tr_scorer
 from repro.eval.linkpred import MethodCurve
-from repro.eval.significance import (
-    bootstrap_recall_ci,
-    mean_reciprocal_rank,
-    paired_sign_test,
-)
-from repro.landmarks import (
-    ApproximateRecommender,
-    LandmarkIndex,
-    select_landmarks,
-)
 
 
 class TestMethodCurve:
@@ -37,55 +23,3 @@ class TestMethodCurve:
         curve = MethodCurve(name="x", ranks=[10.0])
         assert curve.recall_at(10) == 1.0
         assert curve.recall_at(9) == 0.0
-
-
-class TestSignificanceOnProtocolOutput:
-    """The significance helpers consume MethodCurve.ranks directly."""
-
-    @pytest.fixture(scope="class")
-    def curves(self, web_sim):
-        graph = generate_twitter_graph(300, seed=501)
-        protocol = LinkPredictionProtocol(
-            graph, EvaluationParams(test_size=25, num_negatives=200),
-            seed=5)
-        params = ScoreParams(beta=0.004)
-        recommender = Recommender(protocol.graph, web_sim, params)
-        landmarks = select_landmarks(protocol.graph, "In-Deg", 15, rng=1)
-        index = LandmarkIndex.build(
-            protocol.graph, landmarks, sorted(protocol.graph.topics()),
-            web_sim, params=params,
-            landmark_params=LandmarkParams(num_landmarks=15, top_n=200))
-        approximate = ApproximateRecommender(protocol.graph, web_sim, index)
-        return protocol.run({
-            "Tr": tr_scorer(recommender),
-            "Tr-landmarks": landmark_scorer(approximate),
-        })
-
-    def test_ci_brackets_the_estimate(self, curves):
-        curve = curves["Tr"]
-        low, high = bootstrap_recall_ci(curve.ranks, n=10, seed=2)
-        assert low <= curve.recall_at(10) <= high
-
-    def test_sign_test_detects_the_lower_bound_direction(self, curves):
-        """σ̃ ≤ σ uniformly, so whenever the two methods disagree on a
-        list, the exact method ranks the target better — the sign test
-        flags that *systematic direction* even though the magnitude is
-        tiny (recall@10 is essentially unchanged)."""
-        exact = curves["Tr"].ranks
-        approx = curves["Tr-landmarks"].ranks
-        # every decisive pair favours the exact computation
-        assert all(a <= b for a, b in zip(exact, approx))
-        decisive = sum(1 for a, b in zip(exact, approx) if a != b)
-        if decisive >= 6:
-            assert paired_sign_test(exact, approx) < 0.05
-        # ... while the headline metric barely moves
-        assert abs(curves["Tr"].recall_at(10)
-                   - curves["Tr-landmarks"].recall_at(10)) <= 0.1
-
-    def test_mrr_consistent_with_recall_ordering(self, curves):
-        # a method with better MRR should not have much worse recall@10
-        tr = curves["Tr"]
-        approx = curves["Tr-landmarks"]
-        if mean_reciprocal_rank(tr.ranks) >= mean_reciprocal_rank(
-                approx.ranks):
-            assert tr.recall_at(10) >= approx.recall_at(10) - 0.2

@@ -1,18 +1,12 @@
-"""Tests for WAL + snapshot durability of a dynamic landmark index."""
+"""Tests for the CRC-framed write-ahead event log."""
 
 import pytest
 
-from repro import ScoreParams
-from repro.config import LandmarkParams
-from repro.datasets import generate_twitter_graph
-from repro.dynamics import EagerMaintainer, GraphStream, simulate_churn
 from repro.dynamics.events import EdgeEvent, EventKind
 from repro.errors import CorruptRecordError, StorageError
-from repro.landmarks import LandmarkIndex
-from repro.landmarks.wal import DurableIndex, WriteAheadLog
+from repro.landmarks.wal import WriteAheadLog
 
 TOPIC = "technology"
-PARAMS = ScoreParams(beta=0.004)
 
 
 def _follow(source, target, time=0, topics=(TOPIC,)):
@@ -71,107 +65,3 @@ class TestWriteAheadLog:
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptRecordError):
             list(WriteAheadLog(path).replay())
-
-
-@pytest.fixture()
-def live_world(web_sim, tmp_path):
-    graph = generate_twitter_graph(120, seed=205)
-    landmarks = sorted(graph.nodes(), key=lambda n: -graph.in_degree(n))[:5]
-    index = LandmarkIndex.build(
-        graph, landmarks, [TOPIC], web_sim, params=PARAMS,
-        landmark_params=LandmarkParams(num_landmarks=5, top_n=50))
-    maintainer = EagerMaintainer(graph, index, [TOPIC], web_sim, PARAMS)
-    stream = GraphStream(graph)
-
-    def apply_event(event):
-        stream.apply(event)
-
-    stream.subscribe(maintainer.on_event)
-    durable = DurableIndex(index, tmp_path / "durable", apply_event,
-                           snapshot_every=10_000)
-    return graph, index, durable, tmp_path / "durable"
-
-
-class TestDurableIndex:
-    def test_record_applies_and_logs(self, live_world):
-        graph, _, durable, _ = live_world
-        nodes = sorted(graph.nodes())
-        source, target = next(
-            (s, t) for s in nodes for t in nodes
-            if s != t and not graph.has_edge(s, t))
-        durable.record(_follow(source, target))
-        assert graph.has_edge(source, target)
-        assert len(durable.wal) == 1
-
-    def test_snapshot_truncates_log(self, live_world):
-        graph, _, durable, directory = live_world
-        nodes = sorted(graph.nodes())
-        durable.record(_unfollow(*next(
-            (s, t) for s, t, _ in graph.edges())))
-        durable.snapshot()
-        assert len(durable.wal) == 0
-        assert (directory / DurableIndex.SNAPSHOT_NAME).exists()
-
-    def test_automatic_snapshot_threshold(self, web_sim, tmp_path):
-        graph = generate_twitter_graph(100, seed=206)
-        landmarks = sorted(graph.nodes(),
-                           key=lambda n: -graph.in_degree(n))[:3]
-        index = LandmarkIndex.build(
-            graph, landmarks, [TOPIC], web_sim, params=PARAMS,
-            landmark_params=LandmarkParams(num_landmarks=3, top_n=20))
-        stream = GraphStream(graph)
-        durable = DurableIndex(index, tmp_path / "d", stream.apply,
-                               snapshot_every=5)
-        for event in list(simulate_churn(graph, 12, seed=206)):
-            durable.record(event)
-        # at least one snapshot happened, so the log is short
-        assert len(durable.wal) < 12
-
-    def test_recovery_replays_to_identical_state(self, web_sim, tmp_path):
-        """Crash after N events: snapshot + WAL replay must reproduce
-        the live index exactly."""
-        base = generate_twitter_graph(120, seed=207)
-        landmarks = sorted(base.nodes(),
-                           key=lambda n: -base.in_degree(n))[:5]
-        events = list(simulate_churn(base, 40, seed=207))
-
-        # --- live run (never snapshots after start) -----------------
-        live_graph = base.copy()
-        live_index = LandmarkIndex.build(
-            live_graph, landmarks, [TOPIC], web_sim, params=PARAMS,
-            landmark_params=LandmarkParams(num_landmarks=5, top_n=50))
-        live_maintainer = EagerMaintainer(live_graph, live_index, [TOPIC],
-                                          web_sim, PARAMS)
-        live_stream = GraphStream(live_graph)
-        live_stream.subscribe(live_maintainer.on_event)
-        durable = DurableIndex(live_index, tmp_path / "d",
-                               live_stream.apply, snapshot_every=10_000)
-        for event in events:
-            durable.record(event)
-
-        # --- simulated crash + recovery ------------------------------
-        recovered_graph = base.copy()
-        recovered_stream = GraphStream(recovered_graph)
-        holder = {}
-
-        def install(index):
-            maintainer = EagerMaintainer(recovered_graph, index, [TOPIC],
-                                         web_sim, PARAMS)
-            recovered_stream.subscribe(maintainer.on_event)
-            holder["index"] = index
-
-        _, replayed = DurableIndex.recover(tmp_path / "d",
-                                           recovered_stream.apply, install)
-        assert replayed == len(events)  # every logged event replays
-        recovered_index = holder["index"]
-        for landmark in landmarks:
-            live = live_index.recommendations(landmark, TOPIC)
-            restored = recovered_index.recommendations(landmark, TOPIC)
-            assert [e.node for e in live] == [e.node for e in restored]
-            for ours, theirs in zip(live, restored):
-                assert ours.score == pytest.approx(theirs.score)
-
-    def test_recover_without_snapshot_raises(self, tmp_path):
-        with pytest.raises(StorageError):
-            DurableIndex.recover(tmp_path / "missing", lambda e: None,
-                                 lambda i: None)

@@ -1,9 +1,12 @@
-"""End-to-end: who-to-follow emits the documented span tree and counters."""
+"""End-to-end: a landmark recommendation emits the documented span tree
+and counters."""
 
 import pytest
 
+from repro.graph import LabeledSocialGraph
+from repro.landmarks import (ApproximateRecommender, LandmarkIndex,
+                             select_landmarks)
 from repro.obs import runtime as rt
-from repro.platform import MicroblogPlatform
 
 
 def names(tree):
@@ -25,62 +28,67 @@ def find(tree, name):
 
 
 @pytest.fixture()
-def platform(web_sim):
-    platform = MicroblogPlatform(web_sim)
-    handles = [f"user{i}" for i in range(12)]
-    for handle in handles:
-        platform.register(handle, topics=("technology",))
+def world(web_sim):
+    graph = LabeledSocialGraph()
+    for node in range(12):
+        graph.add_node(node, topics=("technology",))
     # A ring plus spokes so everyone has somewhere to explore.
-    for i in range(12):
-        platform.follow(handles[i], handles[(i + 1) % 12])
-        platform.follow(handles[i], handles[(i + 5) % 12])
-    return platform
+    for node in range(12):
+        graph.add_edge(node, (node + 1) % 12, ("technology",))
+        graph.add_edge(node, (node + 5) % 12, ("technology",))
+    index = LandmarkIndex.build(
+        graph, select_landmarks(graph, "In-Deg", 4, rng=3),
+        ["technology"], web_sim)
+    return graph, index
+
+
+@pytest.fixture()
+def recommender(world, web_sim):
+    graph, index = world
+    return ApproximateRecommender(graph, web_sim, index)
 
 
 class TestWhoToFollowSpanTree:
-    def test_exact_path_tree_and_counters(self, platform):
+    def test_exact_path_tree_and_counters(self, world, web_sim):
+        """The dict query engine explores with the exact walker, so its
+        power-iteration spans nest under the exploration."""
+        graph, index = world
+        recommender = ApproximateRecommender(graph, web_sim, index,
+                                             query_engine="dict")
         rt.enable()
-        platform.who_to_follow("user0", "technology", top_n=3)
+        recommender.recommend(0, "technology", top_n=3)
         trees = rt.span_trees()
         assert len(trees) == 1
         root = trees[0]
-        assert root["name"] == "platform.who_to_follow"
-        assert root["attributes"]["engine"] == "exact"
-        # The lazy (on-demand) snapshot pin builds inside the request.
+        assert root["name"] == "approx.recommend"
         assert [child["name"] for child in root["children"]] == [
-            "graph.snapshot_build", "platform.rank", "platform.hydrate"]
-        # The exact path runs the power iteration inside the rank span.
-        rank = find(root, "platform.rank")
-        assert "exact.single_source" in names(rank)
-        assert "exact.iteration" in names(rank)
+            "approx.query", "approx.rank"]
+        query = find(root, "approx.query")
+        assert query["attributes"]["engine"] == "dict"
+        explore = find(query, "approx.explore")
+        assert "exact.single_source" in names(explore)
+        assert "exact.iteration" in names(explore)
 
         snap = rt.snapshot()
-        assert snap["counters"]["platform.wtf_requests_total"] == 1
-        assert snap["counters"]["platform.wtf_served_by_exact_total"] == 1
-        assert snap["gauges"]["platform.wtf_engine_approximate"] == 0.0
-        assert "platform.wtf_served_by_approximate_total" not in (
-            snap["counters"])
+        assert snap["counters"]["approx.queries_total"] == 1
+        assert snap["counters"]["exact.calls_total"] == 1
+        assert snap["counters"]["exact.iterations_total"] >= 1
 
-    def test_approximate_path_tree_and_counters(self, platform):
-        platform.enable_landmarks(num_landmarks=4, seed=3)
+    def test_approximate_path_tree_and_counters(self, recommender):
         rt.enable()
-        platform.who_to_follow("user0", "technology", top_n=3)
+        recommender.recommend(0, "technology", top_n=3)
         trees = rt.span_trees()
         assert len(trees) == 1
         root = trees[0]
-        assert root["attributes"]["engine"] == "approximate"
+        assert root["name"] == "approx.recommend"
 
         # The documented tree, top to bottom.
-        rank = find(root, "platform.rank")
-        assert rank is not None
-        recommend = find(rank, "approx.recommend")
-        assert recommend is not None
-        query = find(recommend, "approx.query")
+        query = find(root, "approx.query")
         assert query is not None
+        assert query["attributes"]["engine"] == "sparse"
         assert [child["name"] for child in query["children"]] == [
             "approx.explore", "approx.compose"]
-        assert find(recommend, "approx.rank") is not None
-        assert find(root, "platform.hydrate") is not None
+        assert find(root, "approx.rank") is not None
 
         # Exploration is depth-limited and absorbed at landmarks. The
         # default (sparse) engine expands the whole frontier in batch
@@ -93,26 +101,23 @@ class TestWhoToFollowSpanTree:
         assert query["attributes"]["landmarks_hit"] >= 1
 
         snap = rt.snapshot()
-        assert snap["counters"]["platform.wtf_requests_total"] == 1
-        assert snap["counters"][
-            "platform.wtf_served_by_approximate_total"] == 1
         assert snap["counters"]["approx.queries_total"] == 1
         assert snap["counters"]["approx.landmarks_encountered_total"] >= 1
-        assert snap["gauges"]["platform.wtf_engine_approximate"] == 1.0
+        assert "exact.calls_total" not in snap["counters"]
 
-    def test_repeated_requests_accumulate_stage_stats(self, platform):
+    def test_repeated_requests_accumulate_stage_stats(self, recommender):
         rt.enable()
         for _ in range(3):
-            platform.who_to_follow("user1", "technology", top_n=2)
+            recommender.recommend(1, "technology", top_n=2)
         stages = rt.snapshot()["stages"]
-        assert stages["platform.who_to_follow"]["calls"] == 3
-        assert stages["platform.rank"]["calls"] == 3
-        assert stages["platform.hydrate"]["calls"] == 3
-        assert rt.snapshot()["counters"]["platform.wtf_requests_total"] == 3
+        assert stages["approx.recommend"]["calls"] == 3
+        assert stages["approx.query"]["calls"] == 3
+        assert stages["approx.rank"]["calls"] == 3
+        assert rt.snapshot()["counters"]["approx.queries_total"] == 3
 
-    def test_disabled_platform_emits_nothing(self, platform):
-        results = platform.who_to_follow("user0", "technology", top_n=3)
-        assert results  # the endpoint itself still works
+    def test_disabled_platform_emits_nothing(self, recommender):
+        response = recommender.recommend(0, "technology", top_n=3)
+        assert response.recommendations  # the endpoint itself still works
         snap = rt.snapshot()
         assert snap["stages"] == {}
         assert snap["counters"] == {}

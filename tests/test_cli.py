@@ -175,3 +175,38 @@ class TestLandmarks:
         captured = capsys.readouterr()
         assert code == 0
         assert "Tr" in captured.out
+
+
+class TestErrorBoundary:
+    """Library errors become one stderr line and a documented code."""
+
+    def test_configuration_error_exits_2(self, graph_file, capsys):
+        code = main(["shard", str(graph_file), "--shards", "0",
+                     "--user", "1", "--topic", "technology"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("repro: ConfigurationError: num_shards must be "
+                       ">= 1, got 0\n")
+
+    def test_other_repro_error_exits_3(self, graph_file, capsys):
+        code = main(["recommend", str(graph_file), "--user", "99999",
+                     "--topic", "technology"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == ("repro: NodeNotFoundError: node 99999 is not in "
+                       "the graph\n")
+
+    def test_obs_path_shares_the_boundary(self, graph_file, capsys):
+        from repro.obs import runtime as rt
+
+        try:
+            code = main(["--obs", "recommend", str(graph_file), "--user",
+                         "1", "--topic", "no-such-topic"])
+        finally:
+            rt.disable()
+            rt.get_runtime().reset()
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.endswith(
+            "repro: UnknownTopicError: unknown topic 'no-such-topic'\n")
+        assert "Traceback" not in err

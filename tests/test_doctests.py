@@ -10,7 +10,6 @@ import pytest
 
 import repro.core.recommender
 import repro.graph.builders
-import repro.graph.distance_oracle
 import repro.graph.labeled_graph
 import repro.obs.clock
 import repro.semantics.matrix
@@ -19,7 +18,6 @@ import repro.semantics.taxonomy
 MODULES = [
     repro.graph.labeled_graph,
     repro.graph.builders,
-    repro.graph.distance_oracle,
     repro.semantics.taxonomy,
     repro.semantics.matrix,
     repro.core.recommender,

@@ -78,15 +78,6 @@ class TestTwitterRankDangling:
         assert ranking[1] > ranking[0]
 
 
-class TestDistanceOracleRepr:
-    def test_repr_mentions_counts(self):
-        from repro.graph.builders import path_graph
-        from repro.graph.distance_oracle import LandmarkDistanceOracle
-
-        oracle = LandmarkDistanceOracle(path_graph(4), [1, 2])
-        assert "landmarks=2" in repr(oracle)
-
-
 class TestIncrementalEdgeCases:
     def test_event_on_unwatched_source_is_noop(self, web_sim):
         from repro import ScoreParams
