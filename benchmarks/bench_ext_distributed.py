@@ -4,8 +4,11 @@ scores are evaluated "locally", minimising network transfer).
 
 Compares the three partitioners at 4 partitions on identical queries:
 edge-cut quality, propagation messages, and landmark-list transfer.
-Answers are partition-invariant (asserted), so the only thing at stake
-is traffic.
+Each query explores with the Pregel-style walker; its messages come from
+the walker's stats, and its shipped entries are the list lengths of the
+reached landmarks homed off the query's partition. Exploration scores
+are partition-invariant (asserted), so the only thing at stake is
+traffic.
 """
 
 from conftest import write_result
@@ -13,7 +16,7 @@ from conftest import write_result
 from repro.config import LandmarkParams, ScoreParams
 from repro.datasets import generate_twitter_graph
 from repro.distributed import (
-    DistributedLandmarkService,
+    distributed_single_source_scores,
     edge_cut_fraction,
     greedy_partition,
     hash_partition,
@@ -44,17 +47,23 @@ def test_ext_distributed_transfer_costs(benchmark, web_sim):
     def run():
         rows = {}
         reference = None
+        depth = index.landmark_params.query_depth
         for name, assignment in partitioners.items():
-            service = DistributedLandmarkService(
-                graph, assignment, web_sim, index)
             messages = 0
             entries = 0
             answers = []
             for query in queries:
-                response = service.recommend(query, TOPIC, top_n=10)
-                messages += response.cost.propagation.remote_values
-                entries += response.cost.entries_transferred
-                answers.append([n for n, _ in response])
+                state, stats = distributed_single_source_scores(
+                    graph, assignment, query, [TOPIC], web_sim,
+                    params=PARAMS, max_depth=depth,
+                    absorbing=frozenset(landmarks))
+                messages += stats.remote_values
+                entries += sum(
+                    len(index.recommendations(landmark, TOPIC))
+                    for landmark in landmarks
+                    if state.topo_alphabeta.get(landmark, 0.0) > 0.0
+                    and assignment[landmark] != assignment[query])
+                answers.append(state.scores[TOPIC])
             if reference is None:
                 reference = answers
             else:

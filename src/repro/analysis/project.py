@@ -632,8 +632,6 @@ EXCEPTION_CONTRACTS: Mapping[str, Tuple[str, ...]] = {
         ("ConfigurationError",),
     "repro.distributed.sharded.ShardWorker.out_neighbors":
         ("ConfigurationError",),
-    "repro.distributed.sharded.ShardWorker.landmark_entries":
-        ("ConfigurationError",),
     "repro.distributed.sharded.ShardWorker.landmark_vectors":
         ("ConfigurationError",),
 }

@@ -28,9 +28,8 @@ tuple-returning ``recommend`` functions from growing back.
 
 The module also hosts the two other cross-layer contracts:
 
-- :class:`Maintainer` / :class:`MaintenanceStats` — the shape shared
-  by every landmark maintenance strategy in :mod:`repro.dynamics`
-  (eager, batch, TTL, no-op, incremental);
+- :class:`MaintenanceStats` — the frozen counters of the landmark
+  maintainer in :mod:`repro.dynamics`;
 - :class:`IngestEvent` / :class:`IngestResponse` — the request/answer
   pair of the live ingestion path (:mod:`repro.ingest`), mirroring the
   :class:`RecommendationRequest`/:class:`RecommendationResponse`
@@ -55,7 +54,6 @@ __all__ = [
     "RecommendationResponse",
     "Recommender",
     "MaintenanceStats",
-    "Maintainer",
     "IngestEvent",
     "IngestResponse",
     "response_from_pairs",
@@ -221,22 +219,23 @@ class Recommender(Protocol):
 
 @dataclass(frozen=True)
 class MaintenanceStats:
-    """Immutable accounting snapshot shared by every maintainer.
+    """Immutable accounting snapshot of the landmark maintainer.
 
-    Returned by :attr:`Maintainer.stats`; each read is a frozen copy of
-    the maintainer's private counters, so callers can diff snapshots
-    across a churn window without the maintainer mutating them
-    underneath.
+    Returned by
+    :attr:`~repro.dynamics.incremental.IncrementalMaintainer.stats`;
+    each read is a frozen copy of the maintainer's private counters, so
+    callers can diff snapshots across a churn window without the
+    maintainer mutating them underneath.
 
     Attributes:
         events_seen: Graph mutations observed via ``on_event``.
         landmarks_rebuilt: Landmark re-propagations performed (one per
             landmark per refresh round).
-        rebuild_rounds: Refresh rounds triggered (eager: one per event;
-            batch/TTL/incremental: one per flush).
+        rebuild_rounds: Refresh rounds run (one per flush that had
+            pending events).
         sources_propagated: Total propagation sources actually walked;
-            every maintainer propagates one source per rebuilt
-            landmark, so this equals ``landmarks_rebuilt``.
+            one source per rebuilt landmark, so this equals
+            ``landmarks_rebuilt``.
     """
 
     events_seen: int = 0
@@ -250,28 +249,6 @@ class MaintenanceStats:
         if not self.events_seen:
             return 0.0
         return self.landmarks_rebuilt / self.events_seen
-
-
-@runtime_checkable
-class Maintainer(Protocol):
-    """Structural protocol every landmark maintenance strategy satisfies.
-
-    The five strategies in :mod:`repro.dynamics` (eager, batch, TTL,
-    no-op, incremental) all subscribe to a
-    :class:`~repro.dynamics.stream.GraphStream` through ``on_event``
-    and report the same frozen :class:`MaintenanceStats` shape, so a
-    serving tier can swap strategies without touching its wiring
-    (asserted by ``tests/api/test_protocol.py``).
-    """
-
-    def on_event(self, event: "EdgeEvent") -> None:
-        """Observe one applied graph mutation."""
-        ...  # pragma: no cover - protocol body
-
-    @property
-    def stats(self) -> MaintenanceStats:
-        """Frozen snapshot of the maintenance counters."""
-        ...  # pragma: no cover - protocol body
 
 
 _INGEST_KINDS = ("follow", "unfollow", "retopic")

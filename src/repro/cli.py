@@ -195,13 +195,12 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         landmark_params=LandmarkParams(num_landmarks=args.count,
                                        top_n=args.top))
     platform = ShardedPlatform.build(graph, similarity, index, args.shards,
-                                     replicas=args.replicas,
-                                     query_engine=args.query_engine)
+                                     replicas=args.replicas)
     response = platform.recommend(args.user, args.topic, top_n=args.top_n)
     home = platform.router.shard_of(args.user)
     print(f"shards={platform.num_shards} replicas={platform.replicas} "
           f"epoch={platform.epoch} served_epoch={response.served_epoch} "
-          f"engine={platform.query_engine} home_shard={home} "
+          f"home_shard={home} "
           f"degraded={response.degraded} hedged={response.hedged}")
     if not len(response):
         print("no recommendation found")
@@ -354,11 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--top", type=int, default=100,
                        help="entries kept per landmark list")
     shard.add_argument("--seed", type=int, default=0)
-    shard.add_argument("--query-engine", dest="query_engine",
-                       choices=("auto", "dict", "sparse"), default="auto",
-                       help="composition engine for the serving tier "
-                            "(answers are identical; sparse is the "
-                            "vectorised fast path)")
     shard.add_argument("--taxonomy", choices=("web", "dblp"),
                        default="web")
     shard.set_defaults(handler=_cmd_shard)

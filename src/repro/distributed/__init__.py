@@ -10,15 +10,14 @@ transfer costs." This subpackage implements that simulation:
   topic-based — with edge-cut and balance metrics (:mod:`partition`);
 - a Pregel-style superstep engine that computes *bit-identical* Tr
   scores while accounting for every cross-partition message
-  (:mod:`cluster`);
-- a distributed landmark service where remote landmark lookups cost
-  transfer units, so landmark placement strategies can be compared
-  (:mod:`recommend`);
+  (:mod:`cluster`), which is how partitioners and landmark placements
+  are compared on network traffic;
 - a sharded serving tier on contiguous range partitions — integer-
   division routing, R-way replica sets with deterministic failover and
   hedged fetches, zero-downtime epoch rollover, scatter-gather
   execution, simulated failures and deadlines, results
-  bitwise-identical to the single-machine recommender (:mod:`sharded`).
+  bitwise-identical to the single-machine recommender, and a
+  :class:`QueryCost` on every response (:mod:`sharded`).
 """
 
 from .partition import (
@@ -32,9 +31,9 @@ from .partition import (
     topic_partition,
 )
 from .cluster import MessageStats, distributed_single_source_scores
-from .recommend import DistributedLandmarkService, QueryCost
 from .sharded import (
     EpochRollover,
+    QueryCost,
     ReplicaSet,
     ShardChannel,
     ShardedPlatform,
@@ -55,7 +54,6 @@ __all__ = [
     "PartitionMetrics",
     "distributed_single_source_scores",
     "MessageStats",
-    "DistributedLandmarkService",
     "QueryCost",
     "shard_bounds",
     "ShardSpec",

@@ -98,15 +98,14 @@ from ..graph.snapshot import GraphLike, GraphSnapshot, as_snapshot
 from ..landmarks.index import LandmarkEntry, LandmarkIndex
 from ..landmarks.query_engine import (LandmarkVectorCache, LandmarkVectors,
                                       compose_landmark_contributions,
-                                      resolve_query_engine,
                                       vectors_from_entries)
 from ..obs import runtime as _obs
 from ..semantics.matrix import SimilarityMatrix
 from ..utils.topk import TopK
-from .cluster import distributed_single_source_scores
-from .recommend import QueryCost
+from .cluster import MessageStats, distributed_single_source_scores
 
 __all__ = [
+    "QueryCost",
     "ShardSpec",
     "shard_bounds",
     "ShardRouter",
@@ -116,6 +115,25 @@ __all__ = [
     "EpochRollover",
     "ShardedPlatform",
 ]
+
+
+@dataclass(frozen=True)
+class QueryCost:
+    """Network cost of one sharded recommendation request.
+
+    Attributes:
+        propagation: Message stats of the depth-limited exploration.
+        remote_landmarks: Landmarks whose lists were fetched from other
+            shards.
+        local_landmarks: Landmarks homed on the request's home shard.
+        entries_transferred: Inverted-list entries shipped from remote
+            landmarks (each entry is a (node, score, topo) triple).
+    """
+
+    propagation: MessageStats
+    remote_landmarks: int
+    local_landmarks: int
+    entries_transferred: int
 
 
 # ----------------------------------------------------------------------
@@ -371,34 +389,28 @@ class ShardChannel:
         return ordered[rank]
 
     # -- fetch primitives ----------------------------------------------
-    def _payload(self, worker: "ShardWorker", landmark: int, topic: str,
-                 vectors: bool):
-        if vectors:
-            return worker.landmark_vectors(landmark, topic)
-        return worker.landmark_entries(landmark, topic)
-
-    def _resolve(self, worker: "ShardWorker", landmark: int, topic: str,
-                 vectors: bool) -> Tuple[str, object]:
-        """Outcome of one leg: ``("ok", payload) | ("down"|"drop", None)``.
+    def _resolve(self, worker: "ShardWorker", landmark: int, topic: str
+                 ) -> Tuple[str, Optional[LandmarkVectors]]:
+        """Outcome of one leg: ``("ok", vectors) | ("down"|"drop", None)``.
 
         Draws the failure RNG exactly once per leg (when flakiness is
-        configured), so the dict and sparse engines — which issue the
-        same leg sequence — replay identical simulated failures.
+        configured), so a fixed seed replays identical simulated
+        failures.
         """
         if worker.down:
             return "down", None
         if self.failure_rate and self._rng.random() < self.failure_rate:
             self.failures_total += 1
             return "drop", None
-        return "ok", self._payload(worker, landmark, topic, vectors)
+        return "ok", worker.landmark_vectors(landmark, topic)
 
     def _single(self, worker: "ShardWorker", latency: float, landmark: int,
-                topic: str, clock: _RequestClock, attempt: int,
-                vectors: bool):
+                topic: str, clock: _RequestClock,
+                attempt: int) -> LandmarkVectors:
         clock.charge(latency)
         self._record(worker, latency)
         self.fetches_total += 1
-        status, payload = self._resolve(worker, landmark, topic, vectors)
+        status, payload = self._resolve(worker, landmark, topic)
         if status == "down":
             raise ShardDownError(worker.spec.shard_id)
         if status == "drop":
@@ -406,7 +418,7 @@ class ShardChannel:
         return payload
 
     def fetch(self, worker: "ShardWorker", landmark: int, topic: str,
-              clock: _RequestClock, attempt: int) -> List[LandmarkEntry]:
+              clock: _RequestClock, attempt: int) -> LandmarkVectors:
         """One un-hedged fetch attempt of a landmark's inverted list.
 
         Raises:
@@ -415,24 +427,12 @@ class ShardChannel:
             ChannelError: the simulated link dropped this attempt.
         """
         return self._single(worker, self._draw_latency(worker), landmark,
-                            topic, clock, attempt, vectors=False)
-
-    def fetch_vectors(self, worker: "ShardWorker", landmark: int, topic: str,
-                      clock: _RequestClock, attempt: int) -> LandmarkVectors:
-        """Vectorised twin of :meth:`fetch` — same cost and failure model.
-
-        The charge → down-check → flakiness sequence is identical (one
-        RNG draw per attempt either way), so a request pays the same
-        simulated latency and sees the same simulated failures no
-        matter which query engine composes it.
-        """
-        return self._single(worker, self._draw_latency(worker), landmark,
-                            topic, clock, attempt, vectors=True)
+                            topic, clock, attempt)
 
     def hedged_fetch(self, primary: "ShardWorker",
                      backup: Optional["ShardWorker"], landmark: int,
-                     topic: str, clock: _RequestClock, attempt: int, *,
-                     vectors: bool = False):
+                     topic: str, clock: _RequestClock,
+                     attempt: int) -> LandmarkVectors:
         """One fetch attempt against *primary*, hedged to *backup*.
 
         The hedge fires when the primary's drawn latency exceeds its
@@ -446,7 +446,7 @@ class ShardChannel:
         abandoned leg's completion is never observed — recording it
         would teach the threshold the outlier it just dodged). With no
         backup, no threshold (cold history), or a fast draw, this
-        degenerates to exactly :meth:`fetch` / :meth:`fetch_vectors`.
+        degenerates to exactly :meth:`fetch`.
 
         Raises:
             DeadlineExceededError: the request budget ran out.
@@ -458,11 +458,11 @@ class ShardChannel:
                      if backup is not None else None)
         if threshold is None or draw_primary <= threshold:
             return self._single(primary, draw_primary, landmark, topic,
-                                clock, attempt, vectors)
+                                clock, attempt)
 
-        status_p, payload_p = self._resolve(primary, landmark, topic, vectors)
+        status_p, payload_p = self._resolve(primary, landmark, topic)
         draw_backup = self._draw_latency(backup)
-        status_b, payload_b = self._resolve(backup, landmark, topic, vectors)
+        status_b, payload_b = self._resolve(backup, landmark, topic)
         self.hedges_sent += 1
         self.fetches_total += 2
         _obs.count("shard.hedge.sent_total")
@@ -510,6 +510,8 @@ class ShardWorker:  # repro: ignore[W4] -- instantiated by ShardedPlatform.build
     ``docs/ARCHITECTURE.md``. Generation-0 workers are born ready
     (cold-start serving fills caches on demand); rollover generations
     are born warming and must report ready before the router flips.
+    ``down`` mirrors the platform's health set for this worker's
+    ``(shard, replica)`` slot, which outlives generations.
     """
 
     def __init__(self, snapshot: GraphSnapshot, spec: ShardSpec,
@@ -520,6 +522,7 @@ class ShardWorker:  # repro: ignore[W4] -- instantiated by ShardedPlatform.build
         self.replica_id = replica_id
         self.epoch = snapshot.epoch
         self.ready = ready
+        self.down = False
         self._snapshot = snapshot
         lo, hi = spec.lo, spec.hi
         #: This worker's slice of the node-id table. A slice, not a
@@ -549,9 +552,7 @@ class ShardWorker:  # repro: ignore[W4] -- instantiated by ShardedPlatform.build
             }
             for landmark in self.landmarks
         }
-        self.down = False
         self.requests_total = 0
-        self.queue_depth = 0
         self._row_cache: Dict[int, Dict[int, TopicSet]] = {}
         # Vectorised views of the homed lists. The worker's list copies
         # are frozen at construction (epoch-pinned), so the version
@@ -624,25 +625,12 @@ class ShardWorker:  # repro: ignore[W4] -- instantiated by ShardedPlatform.build
         self._row_cache[node] = row
         return row
 
-    def landmark_entries(self, landmark: int,
-                         topic: str) -> List[LandmarkEntry]:
-        """Inverted list of a landmark homed on this shard.
+    def landmark_vectors(self, landmark: int, topic: str) -> LandmarkVectors:
+        """Vectorised view of a landmark list homed on this shard.
 
         Raises :class:`ConfigurationError` when asked for a landmark
-        homed elsewhere — list reads never silently cross shards.
-        """
-        lists = self._lists.get(landmark)
-        if lists is None:
-            raise ConfigurationError(
-                f"landmark {landmark} is not homed on shard "
-                f"{self.spec.shard_id}")
-        return lists.get(topic, [])
-
-    def landmark_vectors(self, landmark: int, topic: str) -> LandmarkVectors:
-        """Vectorised view of a homed landmark's inverted list.
-
-        Same homing contract as :meth:`landmark_entries`; the arrays
-        are built once per ``(landmark, topic)`` and cached (the
+        homed elsewhere — list reads never silently cross shards. The
+        arrays are built once per ``(landmark, topic)`` and cached (the
         worker's list copies never change within its pinned epoch).
         """
         lists = self._lists.get(landmark)
@@ -801,7 +789,9 @@ class EpochRollover:
 
         One reference assignment: requests already in flight keep the
         generation they captured (and drain against it); every request
-        admitted after this line serves the new epoch. Returns the new
+        admitted after this line serves the new epoch. The new workers
+        carry the platform's replica health, and every shard's
+        ``replicas_live`` gauge is re-emitted for them. Returns the new
         epoch.
 
         Raises:
@@ -823,6 +813,8 @@ class EpochRollover:
         self.flipped = True
         _obs.count("shard.rollover.completed_total")
         _obs.gauge("shard.rollover.in_progress", 0.0)
+        for shard_id in range(self._platform.num_shards):
+            self._platform._gauge_live(shard_id)
         return self.epoch
 
 
@@ -862,7 +854,6 @@ class ShardedPlatform:
         channel: Optional[ShardChannel] = None,
         deadline_ms: float = 50.0,
         max_retries: int = 2,
-        query_engine: str = "auto",
         hedge: bool = True,
         source: Optional[GraphLike] = None,
     ) -> None:
@@ -887,11 +878,9 @@ class ShardedPlatform:
         self.hedge = hedge
         #: Replication factor every generation is built with.
         self.replicas = replica_sets[0].num_replicas
-        #: Composition engine: ``"sparse"`` gathers vectorised lists
-        #: (:meth:`ShardChannel.fetch_vectors`) and composes with one
-        #: scatter-add; ``"dict"`` keeps the reference entry loop.
-        #: Identical answers, identical simulated channel traffic.
-        self.query_engine = resolve_query_engine(query_engine)
+        #: Down ``(shard, replica)`` slots — the one record of replica
+        #: health, read by every generation's workers.
+        self._down_slots: Set[Tuple[int, int]] = set()
         self._similarity = similarity
         self._num_shards = router.num_shards
         self._source = source
@@ -916,7 +905,6 @@ class ShardedPlatform:
         deadline_ms: float = 50.0,
         max_retries: int = 2,
         allow_stale: bool = False,
-        query_engine: str = "auto",
         hedge: bool = True,
     ) -> "ShardedPlatform":
         """Pin a snapshot, cut it into *num_shards* ranges, start workers.
@@ -940,9 +928,6 @@ class ShardedPlatform:
             max_retries: Re-attempts per failed remote fetch, per
                 replica in the failover chain.
             allow_stale: Accept a snapshot whose graph already moved on.
-            query_engine: ``"auto"`` / ``"dict"`` / ``"sparse"`` —
-                which Proposition-4 composition path serves requests
-                (answers are bitwise-identical either way).
             hedge: Allow hedged remote fetches when ``replicas >= 2``.
         """
         if replicas < 1:
@@ -956,8 +941,7 @@ class ShardedPlatform:
         return cls(snapshot, router, replica_sets, similarity, index,
                    params=params, landmark_params=landmark_params,
                    channel=channel, deadline_ms=deadline_ms,
-                   max_retries=max_retries, query_engine=query_engine,
-                   hedge=hedge, source=graph)
+                   max_retries=max_retries, hedge=hedge, source=graph)
 
     @staticmethod
     def _build_replica_sets(
@@ -1052,34 +1036,48 @@ class ShardedPlatform:
 
         With *replica* given, only that replica goes down (its peers
         fail over); with ``None`` the whole replica set goes down —
-        the pre-replication whole-shard outage.
+        the pre-replication whole-shard outage. The mark is kept per
+        ``(shard, replica)`` slot, so it holds for a pending rollover's
+        workers and for every later generation until :meth:`mark_up`.
         """
-        for worker in self._pick_replicas(shard_id, replica):
-            if not worker.down:
-                worker.down = True
+        for slot in self._slots(shard_id, replica):
+            if slot not in self._down_slots:
+                self._down_slots.add(slot)
                 _obs.count("shard.replica.down_total")
-        self._gauge_live(shard_id)
+        self._health_changed(shard_id)
 
     def mark_up(self, shard_id: int,
                 replica: Optional[int] = None) -> None:
         """Bring a downed shard (or one replica of it) back."""
-        for worker in self._pick_replicas(shard_id, replica):
-            if worker.down:
-                worker.down = False
+        for slot in self._slots(shard_id, replica):
+            if slot in self._down_slots:
+                self._down_slots.discard(slot)
                 _obs.count("shard.replica.recovered_total")
-        self._gauge_live(shard_id)
+        self._health_changed(shard_id)
 
-    def _pick_replicas(self, shard_id: int,
-                       replica: Optional[int]) -> List[ShardWorker]:
+    def _slots(self, shard_id: int,
+               replica: Optional[int]) -> List[Tuple[int, int]]:
         spec = self.router.route(shard_id)
-        replica_set = self._generation.replica_sets[spec.shard_id]
         if replica is None:
-            return list(replica_set.replicas)
-        if not 0 <= replica < replica_set.num_replicas:
+            return [(spec.shard_id, r) for r in range(self.replicas)]
+        if not 0 <= replica < self.replicas:
             raise ConfigurationError(
                 f"shard {shard_id} has no replica {replica} "
-                f"(replicas={replica_set.num_replicas})")
-        return [replica_set.replicas[replica]]
+                f"(replicas={self.replicas})")
+        return [(spec.shard_id, replica)]
+
+    def _health_changed(self, shard_id: int) -> None:
+        self._apply_health(self._generation)
+        if self._rollover is not None:
+            self._apply_health(self._rollover.next_generation)
+        self._gauge_live(shard_id)
+
+    def _apply_health(self, generation: _Generation) -> None:
+        """Copy the down slots onto *generation*'s workers."""
+        for replica_set in generation.replica_sets:
+            for worker in replica_set.replicas:
+                worker.down = ((replica_set.spec.shard_id, worker.replica_id)
+                               in self._down_slots)
 
     def _gauge_live(self, shard_id: int) -> None:
         replica_set = self._generation.replica_sets[shard_id]
@@ -1128,6 +1126,7 @@ class ShardedPlatform:
                 snapshot, router, index, self.replicas, ready=False)
             generation = self._assemble_generation(
                 snapshot, router, replica_sets, index)
+            self._apply_health(generation)
             if _sp:
                 _sp.set(from_epoch=self.epoch, to_epoch=snapshot.epoch,
                         replicas=self.replicas)
@@ -1194,8 +1193,8 @@ class ShardedPlatform:
                 if replica_set.all_down}
 
     def _fetch_replicated(self, replica_set: ReplicaSet, landmark: int,
-                          topic: str, clock: _RequestClock, *,
-                          vectors: bool):
+                          topic: str, clock: _RequestClock
+                          ) -> Optional[LandmarkVectors]:
         """Replica-aware fetch: retries, failover, hedging.
 
         Walks the live-replica chain in deterministic order; each
@@ -1210,8 +1209,7 @@ class ShardedPlatform:
             for attempt in range(1, self.max_retries + 2):
                 try:
                     return self.channel.hedged_fetch(
-                        replica, backup, landmark, topic, clock, attempt,
-                        vectors=vectors)
+                        replica, backup, landmark, topic, clock, attempt)
                 except ChannelError:
                     _obs.count("shard.retries_total")
                 except ShardDownError:
@@ -1268,36 +1266,24 @@ class ShardedPlatform:
         hedges_before = self.channel.hedges_sent
 
         home.requests_total += 1
-        home.queue_depth += 1
         _obs.count("shard.requests_total")
-        _obs.gauge(f"shard.{home_id}.queue_depth", float(home.queue_depth))
-        try:
-            with _obs.span("shard.serve") as _sp:
-                if _sp:
-                    _sp.set(user=request.user, topic=request.topic,
-                            home=home_id, shards=self.num_shards,
-                            replica=home.replica_id,
-                            epoch=generation.snapshot.epoch)
-                state, stats = self._explore(
-                    generation, request, home, exploration_depth, down)
-                if self.query_engine == "sparse":
-                    combined, cost_parts, degraded = self._compose_vectorized(
-                        generation, request, state, home_id,
-                        exploration_depth, clock, down, unreachable, degraded)
-                else:
-                    combined, cost_parts, degraded = self._compose(
-                        generation, request, state, home_id,
-                        exploration_depth, clock, down, unreachable, degraded)
-                ranked = self._merge(generation, request, home, combined,
-                                     down | unreachable)
-                hedged = self.channel.hedges_sent > hedges_before
-                if _sp:
-                    _sp.set(degraded=degraded, returned=len(ranked),
-                            elapsed_ms=clock.elapsed_ms, hedged=hedged)
-        finally:
-            home.queue_depth -= 1
-            _obs.gauge(f"shard.{home_id}.queue_depth",
-                       float(home.queue_depth))
+        with _obs.span("shard.serve") as _sp:
+            if _sp:
+                _sp.set(user=request.user, topic=request.topic,
+                        home=home_id, shards=self.num_shards,
+                        replica=home.replica_id,
+                        epoch=generation.snapshot.epoch)
+            state, stats = self._explore(
+                generation, request, home, exploration_depth, down)
+            combined, cost_parts, degraded = self._compose(
+                generation, request, state, home_id, exploration_depth,
+                clock, down, unreachable, degraded)
+            ranked = self._merge(generation, request, home, combined,
+                                 down | unreachable)
+            hedged = self.channel.hedges_sent > hedges_before
+            if _sp:
+                _sp.set(degraded=degraded, returned=len(ranked),
+                        elapsed_ms=clock.elapsed_ms, hedged=hedged)
 
         if degraded:
             _obs.count("shard.degraded_total")
@@ -1346,73 +1332,11 @@ class ShardedPlatform:
                  down: Set[int], unreachable: Set[int], degraded: bool):
         """Proposition-4 composition, fetching remote lists as needed.
 
-        Iterates landmarks in global sorted order — the exact float
-        accumulation order of the single-machine recommender.
-        """
-        user, topic = request.user, request.topic
-        combined: Dict[int, float] = dict(state.scores.get(topic, {}))
-        local = remote = shipped = 0
-        deadline_hit = False
-        home_set = generation.replica_sets[home_id]
-        with _obs.span("shard.compose") as _sp:
-            for landmark in generation.sorted_landmarks:
-                if landmark == user and exploration_depth > 0:
-                    continue
-                topo_ab = state.topo_alphabeta.get(landmark, 0.0)
-                if topo_ab <= 0.0:
-                    continue
-                owner = generation.router.shard_of(landmark)
-                if owner == home_id:
-                    primary = home_set.primary()
-                    assert primary is not None  # home checked in serve
-                    entries = primary.landmark_entries(landmark, topic)
-                    local += 1
-                else:
-                    if owner in down or owner in unreachable or deadline_hit:
-                        degraded = True
-                        continue
-                    try:
-                        entries = self._fetch_replicated(
-                            generation.replica_sets[owner], landmark, topic,
-                            clock, vectors=False)
-                    except DeadlineExceededError:
-                        _obs.count("shard.deadline_exceeded_total")
-                        deadline_hit = True
-                        degraded = True
-                        continue
-                    if entries is None:
-                        unreachable.add(owner)
-                        degraded = True
-                        continue
-                    remote += 1
-                    shipped += len(entries)
-                    _obs.count("shard.remote_fetches_total")
-                sigma_to_landmark = state.score(landmark, topic)
-                for entry in entries:
-                    if entry.node == user:
-                        continue
-                    contribution = (sigma_to_landmark * entry.topo
-                                    + topo_ab * entry.score)
-                    if contribution:
-                        combined[entry.node] = (
-                            combined.get(entry.node, 0.0) + contribution)
-            if _sp:
-                _sp.set(local_landmarks=local, remote_landmarks=remote,
-                        entries=shipped, candidates=len(combined))
-        return combined, (local, remote, shipped), degraded
-
-    def _compose_vectorized(self, generation: _Generation,
-                            request: RecommendationRequest, state,
-                            home_id: int, exploration_depth: int,
-                            clock: _RequestClock, down: Set[int],
-                            unreachable: Set[int], degraded: bool):
-        """Vectorised :meth:`_compose` — bitwise-identical answers.
-
-        The control flow (sorted-landmark order, down / unreachable /
-        deadline handling, retry/failover/hedge accounting) is exactly
-        the reference loop's; only the per-entry arithmetic moves into
-        one concatenated scatter-add over the gathered landmark
-        vectors.
+        Walks landmarks in global sorted order — the float accumulation
+        order of the single-machine recommender — skipping landmarks
+        homed on down or unreachable shards and every remote landmark
+        after the deadline is hit; the gathered landmark vectors are
+        then composed in one concatenated scatter-add.
         """
         user, topic = request.user, request.topic
         local = remote = shipped = 0
@@ -1439,7 +1363,7 @@ class ShardedPlatform:
                     try:
                         vectors = self._fetch_replicated(
                             generation.replica_sets[owner], landmark, topic,
-                            clock, vectors=True)
+                            clock)
                     except DeadlineExceededError:
                         _obs.count("shard.deadline_exceeded_total")
                         deadline_hit = True

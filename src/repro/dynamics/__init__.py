@@ -6,29 +6,19 @@ scores stored by the landmarks." This subpackage implements it:
 
 - a follow/unfollow/retopic event model and a churn simulator that
   mirrors the generator's attachment biases (:mod:`events`);
-- a stream applier with listener hooks (:mod:`stream`);
-- landmark-index maintenance policies — eager, batched-lazy, TTL, and
-  no-op — plus a staleness probe that quantifies how far stored
-  recommendations drift from fresh ones (:mod:`maintenance`);
+- a stream applier for live graphs (:mod:`stream`);
 - the exact :class:`IncrementalMaintainer` (:mod:`incremental`), which
   refreshes every landmark per flush and stays bitwise-identical to a
-  from-scratch rebuild.
-
-All five maintainers satisfy the runtime-checkable
-:class:`repro.api.Maintainer` protocol and report the same frozen
-:class:`repro.api.MaintenanceStats` snapshot.
+  from-scratch rebuild; the ingest pipeline flushes it once per
+  compaction;
+- a staleness probe that quantifies how far stored recommendations
+  drift from what the index's own builder produces on the current
+  graph (:mod:`maintenance`).
 """
 
 from .events import EdgeEvent, EventKind, simulate_churn
 from .stream import GraphStream
-from .maintenance import (
-    BatchMaintainer,
-    EagerMaintainer,
-    MaintenanceStats,
-    NoOpMaintainer,
-    TTLMaintainer,
-    measure_staleness,
-)
+from .maintenance import measure_staleness
 from .incremental import IncrementalMaintainer
 
 __all__ = [
@@ -36,11 +26,6 @@ __all__ = [
     "EventKind",
     "simulate_churn",
     "GraphStream",
-    "EagerMaintainer",
-    "BatchMaintainer",
-    "TTLMaintainer",
-    "NoOpMaintainer",
     "IncrementalMaintainer",
-    "MaintenanceStats",
     "measure_staleness",
 ]

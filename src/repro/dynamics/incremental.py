@@ -1,64 +1,67 @@
 """Flush-time landmark maintenance: refresh every landmark per flush.
 
-The rebuild-based policies of :mod:`repro.dynamics.maintenance` re-run
-Algorithm 1 for every landmark whose *stored lists* an event touches —
-a heuristic that both over-fires (a listed node far outside the
-propagation cone) and under-fires (an unlisted node inside it).
-:class:`IncrementalMaintainer` is exact instead: it counts applied
-events, and each flush re-propagates every landmark through
-:meth:`LandmarkIndex.refresh` — the build's own list builder, in
-``EngineParams().batch_size`` blocks — so the refreshed index is
-bitwise-identical to a from-scratch rebuild on the flushed graph.
+:class:`IncrementalMaintainer` counts applied events, and each flush
+re-propagates every landmark through :meth:`LandmarkIndex.refresh` —
+the build's own list builder, in ``EngineParams().batch_size`` blocks —
+so the refreshed index is bitwise-identical to a from-scratch rebuild
+on the flushed graph.
 
 Skipping landmarks whose cone the churn misses does not pay under the
 bitwise contract: one follow puts every follower of its target in
 play, and the authority normaliser ``log1p(max |Γv(t)|)`` is
 graph-wide, so on the benchmark workloads every landmark changed at
 every compaction. A flush therefore costs one batched refresh and an
-event costs a counter increment.
-
-With the default ``flush_every=1`` the index is fresh after every
-event — same observable freshness as :class:`EagerMaintainer`. The
-ingest pipeline (:mod:`repro.ingest`) instead constructs it with
-``flush_every=0`` and calls :meth:`flush` once per compaction, passing
-the compacted snapshot as the propagation view.
+event costs a counter increment. The caller decides when to flush: the
+ingest pipeline (:mod:`repro.ingest`) flushes once per compaction,
+passing the compacted snapshot as the propagation view, so its
+:class:`~repro.ingest.CompactionPolicy` is the one freshness knob.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..config import ScoreParams
+from ..api import MaintenanceStats
 from ..landmarks.index import LandmarkIndex
 from ..obs import runtime as _obs
 from ..semantics.matrix import SimilarityMatrix
 from .events import EdgeEvent
-from .maintenance import _BaseMaintainer
 
 
-class IncrementalMaintainer(_BaseMaintainer):
+class IncrementalMaintainer:
     """Re-propagate every landmark once per flush of pending events.
 
     Args:
         graph: The post-event view events are applied to before this
-            maintainer sees them (GraphStream's contract) — a live
-            graph or a :class:`~repro.graph.overlay.DeltaSnapshot`.
-        index: The landmark index to keep fresh.
+            maintainer sees them — a live graph or a
+            :class:`~repro.graph.overlay.DeltaSnapshot`.
+        index: The landmark index to keep fresh. Refreshes use its own
+            engine, decay parameters and ``precompute_depth``.
         topics: Topics maintained (usually the index's vocabulary).
         similarity: Topic-similarity matrix.
-        params: Decay parameters (refreshes use the index's own).
-        flush_every: Auto-flush after this many applied events; ``0``
-            disables auto-flush (callers drive :meth:`flush`, e.g. the
-            ingest pipeline at compaction boundaries).
     """
 
     def __init__(self, graph, index: LandmarkIndex,
-                 topics: Sequence[str], similarity: SimilarityMatrix,
-                 params: Optional[ScoreParams] = None,
-                 flush_every: int = 1) -> None:
-        super().__init__(graph, index, topics, similarity, params)
-        self.flush_every = flush_every
+                 topics: Sequence[str],
+                 similarity: SimilarityMatrix) -> None:
+        self.graph = graph
+        self.index = index
+        self.topics = list(topics)
+        self.similarity = similarity
         self._pending = 0
+        self._events_seen = 0
+        self._landmarks_rebuilt = 0
+        self._rebuild_rounds = 0
+
+    @property
+    def stats(self) -> MaintenanceStats:
+        """Frozen snapshot of the maintenance counters."""
+        return MaintenanceStats(
+            events_seen=self._events_seen,
+            landmarks_rebuilt=self._landmarks_rebuilt,
+            rebuild_rounds=self._rebuild_rounds,
+            sources_propagated=self._landmarks_rebuilt,
+        )
 
     # ------------------------------------------------------------------
     def rebind(self, graph) -> None:
@@ -69,11 +72,10 @@ class IncrementalMaintainer(_BaseMaintainer):
         """
         self.graph = graph
 
-    def on_event(self, event: EdgeEvent) -> None:  # noqa: D102
+    def on_event(self, event: EdgeEvent) -> None:
+        """Count one applied event; the next :meth:`flush` covers it."""
         self._events_seen += 1
         self._pending += 1
-        if self.flush_every and self._pending >= self.flush_every:
-            self.flush()
 
     @property
     def pending_events(self) -> int:
@@ -103,6 +105,7 @@ class IncrementalMaintainer(_BaseMaintainer):
             refreshed = self.index.refresh(graph, landmarks, self.topics,
                                            self.similarity)
         if refreshed:
-            self._count_refresh(refreshed, landmarks)
+            self._landmarks_rebuilt += refreshed
+            self._rebuild_rounds += 1
         self._pending = 0
         return refreshed

@@ -1,49 +1,34 @@
-"""Apply an event stream to a graph, with listener hooks."""
+"""Apply an event stream to a live graph."""
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Iterable, List
+from typing import Iterable
 
 from ..errors import EdgeNotFoundError
 from ..graph.labeled_graph import LabeledSocialGraph
 from .events import EdgeEvent, EventKind
 
-Listener = Callable[[EdgeEvent], None]
-
 
 class GraphStream:
-    """Mutate a graph from :class:`EdgeEvent`s and notify listeners.
-
-    Listeners (e.g. a landmark maintainer) are called *after* each
-    event is applied, so they observe the post-event graph state.
+    """Mutate a graph from :class:`EdgeEvent`s, counting skips.
 
     Example::
 
         stream = GraphStream(graph)
-        stream.subscribe(maintainer.on_event)
         stream.apply_all(simulate_churn(graph, 1000, seed=1))
     """
 
     def __init__(self, graph: LabeledSocialGraph) -> None:
         self.graph = graph
-        self._listeners: List[Listener] = []
         self.applied = 0
         self.skipped = 0
-
-    def subscribe(self, listener: Listener) -> None:
-        """Register a post-event callback."""
-        self._listeners.append(listener)
 
     def apply(self, event: EdgeEvent) -> bool:
         """Apply one event; returns ``False`` for no-op events.
 
         A follow of an existing edge relabels it; an unfollow or
         retopic of a missing edge is skipped (streams may race with
-        each other in callers' tests) — both without notifying
-        listeners on a skip. Unfollow events are enriched with the
-        removed edge's label before listeners see them, so incremental
-        maintainers can undo the semantic contribution exactly.
+        each other in callers' tests).
         """
         if event.is_follow:
             self.graph.add_edge(event.source, event.target, event.topics)
@@ -56,15 +41,11 @@ class GraphStream:
                 return False
         else:
             try:
-                removed = self.graph.remove_edge(event.source, event.target)
+                self.graph.remove_edge(event.source, event.target)
             except EdgeNotFoundError:
                 self.skipped += 1
                 return False
-            event = dataclasses.replace(
-                event, topics=tuple(sorted(removed)))
         self.applied += 1
-        for listener in self._listeners:
-            listener(event)
         return True
 
     def apply_all(self, events: Iterable[EdgeEvent]) -> int:

@@ -457,6 +457,7 @@ class DeltaSnapshot:
                         overlay_edges=self.overlay_edges,
                         epoch=snapshot.epoch)
         _obs.count("graph.overlay_compactions_total")
+        _obs.gauge("graph.snapshot_epoch", float(snapshot.epoch))
         return snapshot
 
     def _compact(self) -> GraphSnapshot:

@@ -91,12 +91,11 @@ class IngestPipeline:
         similarity: Topic-similarity matrix (index refreshes).
         topics: Topics the landmark index maintains.
         policy: Compaction cadence (default:
-            ``CompactionPolicy(max_events=64)``).
-        maintainer: Landmark maintainer override; by default an
+            ``CompactionPolicy(max_events=64)``). The pipeline's
             :class:`~repro.dynamics.incremental.IncrementalMaintainer`
-            with ``flush_every=0`` is created over the overlay and
-            flushed once per compaction against the compacted base,
-            which refreshes every landmark.
+            is flushed once per compaction against the compacted base,
+            which refreshes every landmark, so the policy is also the
+            index's freshness knob.
         auto_flip: Flip each rollover immediately after warming. The
             chaos harness passes ``False`` to stretch the
             pending-rollover window across request waves; a pending
@@ -109,7 +108,6 @@ class IngestPipeline:
     def __init__(self, platform, similarity: SimilarityMatrix,
                  topics: Sequence[str], *,
                  policy: Optional[CompactionPolicy] = None,
-                 maintainer: Optional[IncrementalMaintainer] = None,
                  auto_flip: bool = True,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.platform = platform
@@ -121,11 +119,8 @@ class IngestPipeline:
         base = platform.snapshot
         self.overlay = DeltaSnapshot(base)
         self.index: LandmarkIndex = platform.index
-        if maintainer is None:
-            maintainer = IncrementalMaintainer(
-                self.overlay, self.index, self.topics, similarity,
-                params=platform.params, flush_every=0)
-        self.maintainer = maintainer
+        self.maintainer = IncrementalMaintainer(
+            self.overlay, self.index, self.topics, similarity)
         self._servable_epoch = base.epoch
         self._oldest_pending: Optional[float] = None
         self.events_total = 0
@@ -170,6 +165,7 @@ class IngestPipeline:
         if trigger is not None:
             self.compact(trigger=trigger)
             compacted = True
+        _obs.gauge("ingest.pending_events", float(self.pending_events))
         return IngestResponse(
             event=event,
             applied=applied,

@@ -15,9 +15,9 @@ rule and the ``precompute_depth`` cap, so the stored lists are
 identical up to floating-point accumulation order.
 
 :meth:`LandmarkIndex.build` and :meth:`LandmarkIndex.refresh` (the
-path every maintainer and the ingest pipeline re-propagate through)
-share one list builder, so a refreshed list is bitwise-identical to
-what a from-scratch build on the same graph stores.
+path the ingest pipeline's maintainer re-propagates through) share one
+list builder, so a refreshed list is bitwise-identical to what a
+from-scratch build on the same graph stores.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ class LandmarkIndex:
 
     def set_recommendations(self, landmark: int, topic: str,
                             entries: Iterable[LandmarkEntry]) -> None:
-        """Install entries directly (storage loader, maintainers).
+        """Install entries directly (storage loader, :meth:`refresh`).
 
         Every call bumps the list's version (:meth:`version_of`), which
         invalidates any cached vectorised view of the previous list.

@@ -201,15 +201,14 @@ def render_markdown(report: Dict[str, Any],
         lines += [
             "### Chaos verdicts",
             "",
-            "| cell | det | engines | stale | degraded | verdict |",
-            "| --- | --- | --- | ---: | ---: | --- |",
+            "| cell | det | stale | degraded | verdict |",
+            "| --- | --- | ---: | ---: | --- |",
         ]
         for verdict in chaos:
             mark = "✅" if verdict.get("passed") else "❌"
             lines.append(
                 f"| `{verdict.get('cell', '?')}` "
                 f"| {'yes' if verdict.get('deterministic') else 'NO'} "
-                f"| {'agree' if verdict.get('engines_agree') else 'DISAGREE'} "
                 f"| {verdict.get('stale_errors', '?')} "
                 f"| {verdict.get('degraded_responses', '?')} "
                 f"| {mark} |")

@@ -1,7 +1,7 @@
 """One parametrized suite asserting every scorer speaks the unified API.
 
 Every implementation — exact, landmark-approximate, TwitterRank, SALSA,
-the distributed landmark service, and the sharded serving tier — must:
+and the sharded serving tier — must:
 
 - satisfy the :class:`repro.api.Recommender` structural protocol;
 - return a :class:`repro.api.RecommendationResponse` whose ranking is
@@ -11,9 +11,8 @@ the distributed landmark service, and the sharded serving tier — must:
   snapshot whose graph has since mutated, and recover under
   ``allow_stale=True``;
 
-and the legacy tuple-returning entry points (``recommend_pairs``,
-``DistributedLandmarkService.query``) must stay deleted — their
-deprecation cycle is over.
+and the legacy tuple-returning entry point (``recommend_pairs``) must
+stay deleted — its deprecation cycle is over.
 """
 
 import pytest
@@ -24,7 +23,6 @@ from repro.baselines import SalsaRecommender, TwitterRank
 from repro.config import LandmarkParams, ScoreParams
 from repro.core.recommender import Recommender
 from repro.datasets import generate_twitter_graph
-from repro.distributed import DistributedLandmarkService, hash_partition
 from repro.distributed.sharded import ShardedPlatform
 from repro.errors import StaleSnapshotError
 from repro.landmarks import (
@@ -42,8 +40,6 @@ FACTORIES = {
         graph, sim, index, params=PARAMS),
     "twitterrank": lambda graph, sim, index: TwitterRank(graph),
     "salsa": lambda graph, sim, index: SalsaRecommender(graph),
-    "distributed": lambda graph, sim, index: DistributedLandmarkService(
-        graph, hash_partition(graph, 3), sim, index),
     "sharded": lambda graph, sim, index: ShardedPlatform.build(
         graph, sim, index, 3, params=PARAMS),
 }
@@ -142,18 +138,15 @@ class TestResponseShape:
 class TestShimsRemoved:
     """The deprecated tuple-returning surface completed its cycle.
 
-    ``recommend_pairs`` / legacy ``recommend`` keywords / the
-    distributed ``query`` shim all warned for one release and are now
-    gone; these tests pin the *absence* so a shim cannot quietly
-    reappear without re-entering deprecation review.
+    ``recommend_pairs`` and the legacy ``recommend`` keywords warned
+    for one release and are now gone; these tests pin the *absence* so
+    a shim cannot quietly reappear without re-entering deprecation
+    review.
     """
 
     def test_recommend_pairs_is_gone(self):
         assert not hasattr(ApproximateRecommender, "recommend_pairs")
         assert not hasattr(TwitterRank, "recommend_pairs")
-
-    def test_distributed_query_is_gone(self):
-        assert not hasattr(DistributedLandmarkService, "query")
 
     def test_exact_legacy_keywords_rejected(self, world, web_sim,
                                             query_user):

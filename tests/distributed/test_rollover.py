@@ -83,7 +83,8 @@ class TestRollover:
         assert platform.epoch == new_epoch
         assert platform.pending_rollover is None
         fresh = ApproximateRecommender(
-            graph, web_sim, platform.index, params=PARAMS)
+            graph, web_sim, platform.index, params=PARAMS,
+            query_engine="dict")
         for user in users:
             got = platform.recommend(user, TOPIC, top_n=10)
             assert got.served_epoch == new_epoch
@@ -186,7 +187,8 @@ class TestRolloverUnderLoad:
         assert stale_errors == 0
         assert all(r.degraded is False for r in responses)
         fresh = ApproximateRecommender(
-            graph, web_sim, platform.index, params=PARAMS)
+            graph, web_sim, platform.index, params=PARAMS,
+            query_engine="dict")
         for user, got in zip(users, post_flip):
             assert got.served_epoch == new_epoch
             assert got.pairs() == fresh.recommend(user, TOPIC,

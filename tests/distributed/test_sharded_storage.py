@@ -36,16 +36,15 @@ def served(tmp_path_factory, web_sim):
 
 class TestShardedParity:
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    @pytest.mark.parametrize("engine", ["dict", "sparse"])
     def test_ram_and_mmap_answers_identical(self, served, web_sim,
-                                            num_shards, engine):
+                                            num_shards):
         _, index, queries, path = served
         answers = {}
         for store in ("ram", "mmap"):
             snapshot = open_snapshot(path, store=store)
             platform = ShardedPlatform.build(
                 snapshot, web_sim, index, num_shards=num_shards,
-                params=PARAMS, query_engine=engine)
+                params=PARAMS)
             answers[store] = [platform.recommend(q, TOPIC, top_n=10)
                               for q in queries]
         assert answers["ram"] == answers["mmap"]

@@ -10,13 +10,11 @@ import dataclasses
 import pytest
 
 from repro import ScoreParams
-from repro.api import Maintainer, MaintenanceStats
+from repro.api import MaintenanceStats
 from repro.config import LandmarkParams
 from repro.core.fast import scipy_available
 from repro.datasets import generate_twitter_graph
-from repro.dynamics import (BatchMaintainer, EagerMaintainer, GraphStream,
-                            IncrementalMaintainer, NoOpMaintainer,
-                            TTLMaintainer, simulate_churn)
+from repro.dynamics import GraphStream, IncrementalMaintainer, simulate_churn
 from repro.dynamics.events import EdgeEvent, EventKind
 from repro.landmarks import LandmarkIndex
 
@@ -33,6 +31,13 @@ def _build_index(graph, web_sim, landmarks, params, top_n=100,
             num_landmarks=len(landmarks), top_n=top_n,
             query_depth=min(precompute_depth, 2),
             precompute_depth=precompute_depth))
+
+
+def _feed(stream, maintainer, events):
+    """Apply *events*, telling the maintainer about each applied one."""
+    for event in events:
+        if stream.apply(event):
+            maintainer.on_event(event)
 
 
 def _entries_identical(index, reference, landmarks):
@@ -54,11 +59,10 @@ class TestBitwiseParity:
                            key=lambda n: -graph.in_degree(n))[:6]
         index = _build_index(graph, web_sim, landmarks, params,
                              engine=engine)
-        maintainer = IncrementalMaintainer(graph, index, [TOPIC], web_sim,
-                                           params)
+        maintainer = IncrementalMaintainer(graph, index, [TOPIC], web_sim)
         stream = GraphStream(graph)
-        stream.subscribe(maintainer.on_event)
-        stream.apply_all(simulate_churn(graph, 40, seed=301))
+        _feed(stream, maintainer, simulate_churn(graph, 40, seed=301))
+        maintainer.flush()
 
         reference = _build_index(graph, web_sim, landmarks, params,
                                  engine=engine)
@@ -67,18 +71,16 @@ class TestBitwiseParity:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_batched_flush_matches(self, web_sim, engine):
-        """flush_every=0 defers all work to one explicit flush."""
+        """Events only count; one explicit flush does all the work."""
         params = ScoreParams(beta=0.004)
         graph = generate_twitter_graph(150, seed=302)
         landmarks = sorted(graph.nodes(),
                            key=lambda n: -graph.in_degree(n))[:5]
         index = _build_index(graph, web_sim, landmarks, params,
                              engine=engine)
-        maintainer = IncrementalMaintainer(graph, index, [TOPIC], web_sim,
-                                           params, flush_every=0)
+        maintainer = IncrementalMaintainer(graph, index, [TOPIC], web_sim)
         stream = GraphStream(graph)
-        stream.subscribe(maintainer.on_event)
-        stream.apply_all(simulate_churn(graph, 30, seed=302))
+        _feed(stream, maintainer, simulate_churn(graph, 30, seed=302))
         assert maintainer.pending_events == stream.applied
         assert maintainer.stats.rebuild_rounds == 0
         maintainer.flush()
@@ -94,54 +96,36 @@ class TestBitwiseParity:
         landmarks = sorted(graph.nodes(),
                            key=lambda n: -graph.in_degree(n))[:4]
         index = _build_index(graph, web_sim, landmarks, params)
-        maintainer = IncrementalMaintainer(graph, index, [TOPIC], web_sim,
-                                           params)
+        maintainer = IncrementalMaintainer(graph, index, [TOPIC], web_sim)
         stream = GraphStream(graph)
-        stream.subscribe(maintainer.on_event)
         relabelled = 0
         for source, target, _ in list(graph.edges()):
             if relabelled >= 10:
                 break
-            stream.apply(EdgeEvent(EventKind.RETOPIC, source, target,
-                                   (TOPIC, "sports"), relabelled))
+            _feed(stream, maintainer, [EdgeEvent(
+                EventKind.RETOPIC, source, target, (TOPIC, "sports"),
+                relabelled)])
             relabelled += 1
         assert relabelled == 10
+        maintainer.flush()
         reference = _build_index(graph, web_sim, landmarks, params)
         _entries_identical(index, reference, landmarks)
 
 
 class TestMaintainerProtocol:
-    def test_all_five_satisfy_protocol(self, web_sim):
-        params = ScoreParams(beta=0.004)
-        graph = generate_twitter_graph(80, seed=306)
-        landmarks = sorted(graph.nodes(),
-                           key=lambda n: -graph.in_degree(n))[:3]
-        index = _build_index(graph, web_sim, landmarks, params)
-        maintainers = [
-            NoOpMaintainer(graph, index, [TOPIC], web_sim, params),
-            EagerMaintainer(graph, index, [TOPIC], web_sim, params),
-            BatchMaintainer(graph, index, [TOPIC], web_sim, params),
-            TTLMaintainer(graph, index, [TOPIC], web_sim, params),
-            IncrementalMaintainer(graph, index, [TOPIC], web_sim, params),
-        ]
-        for maintainer in maintainers:
-            assert isinstance(maintainer, Maintainer)
-            stats = maintainer.stats
-            assert isinstance(stats, MaintenanceStats)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                stats.events_seen = 99
-
     def test_stats_snapshots_do_not_alias(self, web_sim):
         params = ScoreParams(beta=0.004)
         graph = generate_twitter_graph(80, seed=307)
         landmarks = sorted(graph.nodes(),
                            key=lambda n: -graph.in_degree(n))[:3]
         index = _build_index(graph, web_sim, landmarks, params)
-        maintainer = NoOpMaintainer(graph, index, [TOPIC], web_sim, params)
+        maintainer = IncrementalMaintainer(graph, index, [TOPIC], web_sim)
         stream = GraphStream(graph)
-        stream.subscribe(maintainer.on_event)
         before = maintainer.stats
-        stream.apply_all(simulate_churn(graph, 10, seed=307))
+        _feed(stream, maintainer, simulate_churn(graph, 10, seed=307))
+        assert isinstance(before, MaintenanceStats)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            before.events_seen = 99
         assert before.events_seen == 0
         assert maintainer.stats.events_seen == stream.applied
         assert maintainer.stats.rebuilds_per_event == 0.0

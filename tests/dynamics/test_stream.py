@@ -34,28 +34,6 @@ class TestApply:
         assert stream.skipped == 1
         assert stream.applied == 0
 
-    def test_listeners_called_after_application(self):
-        graph = graph_from_edges([(0, 1)])
-        stream = GraphStream(graph)
-        seen = []
-
-        def listener(event):
-            # edge must already be present when the listener runs
-            assert graph.has_edge(event.source, event.target)
-            seen.append(event)
-
-        stream.subscribe(listener)
-        stream.apply(_follow(1, 2))
-        assert len(seen) == 1
-
-    def test_listeners_not_called_on_skip(self):
-        graph = graph_from_edges([(0, 1)])
-        stream = GraphStream(graph)
-        calls = []
-        stream.subscribe(calls.append)
-        stream.apply(_unfollow(5, 6))
-        assert not calls
-
 
 class TestApplyAll:
     def test_churn_keeps_graph_consistent(self):

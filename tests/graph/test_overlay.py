@@ -164,7 +164,7 @@ class TestRankingParity:
         platform = ShardedPlatform.build(compacted, web_sim, index,
                                          num_shards, params=PARAMS)
         single = ApproximateRecommender(rebuilt, web_sim, index,
-                                        params=PARAMS)
+                                        params=PARAMS, query_engine="dict")
         for user in users:
             assert platform.recommend(user, TOPIC, top_n=10).pairs() \
                 == single.recommend(user, TOPIC, top_n=10).pairs()

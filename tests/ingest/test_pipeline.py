@@ -12,6 +12,7 @@ from repro.dynamics import simulate_churn
 from repro.errors import ConfigurationError, StaleSnapshotError
 from repro.ingest import CompactionPolicy, IngestPipeline
 from repro.landmarks import LandmarkIndex, select_landmarks
+from repro.obs import runtime as rt
 
 TOPIC = "technology"
 PARAMS = ScoreParams(beta=0.004)
@@ -26,14 +27,15 @@ def _ingest_events(graph, count, seed, retopic_fraction=0.2):
                                     retopic_fraction=retopic_fraction)]
 
 
-def _platform(web_sim, nodes=120, seed=41, num_shards=2, landmarks=6):
+def _platform(web_sim, nodes=120, seed=41, num_shards=2, landmarks=6,
+              replicas=1):
     graph = generate_twitter_graph(nodes, seed=seed)
     chosen = select_landmarks(graph, "In-Deg", landmarks, rng=seed)
     index = LandmarkIndex.build(
         graph, chosen, [TOPIC], web_sim, params=PARAMS,
         landmark_params=LandmarkParams(num_landmarks=landmarks, top_n=50))
     return graph, ShardedPlatform.build(graph, web_sim, index, num_shards,
-                                        params=PARAMS)
+                                        params=PARAMS, replicas=replicas)
 
 
 class TestIngestEventContract:
@@ -178,3 +180,80 @@ class TestPipelineServing:
             theirs = [(e.node, e.score, e.topo, e.topo_ab)
                       for e in reference.recommendations(landmark, TOPIC)]
             assert ours == theirs, f"landmark {landmark} diverged"
+
+
+def _live(platform):
+    return [len(replica_set.live()) for replica_set in platform.replica_sets]
+
+
+class TestReplicaHealthAcrossFlips:
+    """An operator's down mark is platform state, not worker state: the
+    compaction rollovers the pipeline drives must not bring a downed
+    replica back into rotation."""
+
+    def _world(self, web_sim):
+        graph, platform = _platform(web_sim, nodes=300, num_shards=3,
+                                    replicas=2)
+        users = [n for n in sorted(graph.nodes())
+                 if graph.out_degree(n) >= 3
+                 and n not in set(platform.index.landmarks)
+                 and platform.router.shard_of(n) == 0][:10]
+        return graph, platform, users
+
+    def _degraded(self, platform, users):
+        return sum(platform.recommend(user, TOPIC, top_n=10).degraded
+                   for _ in range(4) for user in users)
+
+    def test_down_shard_stays_down_across_compactions(self, web_sim):
+        graph, platform, users = self._world(web_sim)
+        platform.mark_down(2)
+        assert _live(platform) == [2, 2, 0]
+        assert self._degraded(platform, users) == 40
+        pipeline = IngestPipeline(platform, web_sim, [TOPIC],
+                                  policy=CompactionPolicy(max_events=16))
+        rt.enable(reset=True)
+        try:
+            pipeline.submit_all(_ingest_events(graph, 40, seed=5))
+            gauges = rt.snapshot()["gauges"]
+        finally:
+            rt.disable()
+        assert pipeline.compactions_total == 2
+        assert _live(platform) == [2, 2, 0]
+        assert gauges["shard.2.replicas_live"] == 0.0
+        assert gauges["shard.0.replicas_live"] == 2.0
+        assert self._degraded(platform, users) == 40
+
+    def test_mark_during_pending_rollover_reaches_warming_workers(
+            self, web_sim):
+        graph, platform, users = self._world(web_sim)
+        pipeline = IngestPipeline(platform, web_sim, [TOPIC],
+                                  policy=CompactionPolicy(max_events=10_000),
+                                  auto_flip=False)
+        pipeline.submit_all(_ingest_events(graph, 20, seed=6))
+        pipeline.compact()
+        rollover = platform.pending_rollover
+        platform.mark_down(1, replica=0)
+        platform.mark_down(2)
+        platform.mark_up(2)
+        rollover.flip()
+        assert _live(platform) == [2, 1, 2]
+        assert platform.replica_sets[1].primary().replica_id == 1
+        assert self._degraded(platform, users) == 0
+
+
+class TestIngestGauges:
+    def test_backlog_and_snapshot_epoch_read_current_values(self, web_sim):
+        graph, platform = _platform(web_sim)
+        pipeline = IngestPipeline(platform, web_sim, [TOPIC],
+                                  policy=CompactionPolicy(max_events=16))
+        events = iter(_ingest_events(graph, 200, seed=8))
+        rt.enable(reset=True)
+        try:
+            while pipeline.events_total < 24:
+                pipeline.submit(next(events))
+            gauges = rt.snapshot()["gauges"]
+        finally:
+            rt.disable()
+        assert pipeline.compactions_total == 1
+        assert gauges["ingest.pending_events"] == 8.0
+        assert gauges["graph.snapshot_epoch"] == pipeline.servable_epoch

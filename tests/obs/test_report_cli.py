@@ -79,15 +79,15 @@ class TestMarkdownSummary:
     def test_chaos_verdict_rows(self):
         report = tiny_report({"exact.single_source": 0.25})
         chaos = [{"cell": "r2-none-seed7", "passed": True,
-                  "deterministic": True, "engines_agree": True,
+                  "deterministic": True,
                   "stale_errors": 0, "degraded_responses": 0},
                  {"cell": "r1-down-replica-seed7", "passed": False,
-                  "deterministic": False, "engines_agree": True,
+                  "deterministic": False,
                   "stale_errors": 2, "degraded_responses": 5}]
         markdown = render_markdown(report, chaos=chaos)
         assert "### Chaos verdicts" in markdown
-        assert "| `r2-none-seed7` | yes | agree | 0 | 0 | ✅ |" in markdown
-        assert "| `r1-down-replica-seed7` | NO | agree | 2 | 5 | ❌ |" \
+        assert "| `r2-none-seed7` | yes | 0 | 0 | ✅ |" in markdown
+        assert "| `r1-down-replica-seed7` | NO | 2 | 5 | ❌ |" \
             in markdown
 
     def test_summary_subcommand_appends_to_out_file(self, tmp_path):
@@ -97,7 +97,6 @@ class TestMarkdownSummary:
         verdicts.write_text(json.dumps([{"cell": "r2-none-seed7",
                                          "passed": True,
                                          "deterministic": True,
-                                         "engines_agree": True,
                                          "stale_errors": 0,
                                          "degraded_responses": 0}]))
         out = tmp_path / "summary.md"

@@ -96,11 +96,13 @@ class TestIncrementalEdgeCases:
             landmark_params=LandmarkParams(num_landmarks=1, top_n=10))
         before = list(index.recommendations(0, "technology"))
         maintainer = IncrementalMaintainer(graph, index, ["technology"],
-                                           web_sim, params)
+                                           web_sim)
         stream = GraphStream(graph)
-        stream.subscribe(maintainer.on_event)
-        # 10 is not in any stored list -> no delta can be computed
-        stream.apply(EdgeEvent(EventKind.FOLLOW, 10, 11, ("technology",), 0))
+        # 10 is not in any stored list -> the refresh changes nothing
+        event = EdgeEvent(EventKind.FOLLOW, 10, 11, ("technology",), 0)
+        assert stream.apply(event)
+        maintainer.on_event(event)
+        maintainer.flush()
         assert list(index.recommendations(0, "technology")) == before
 
     def test_edge_out_of_the_landmark_itself(self, web_sim):
@@ -121,10 +123,12 @@ class TestIncrementalEdgeCases:
             graph, [0], ["technology"], web_sim, params=params,
             landmark_params=LandmarkParams(num_landmarks=1, top_n=10))
         maintainer = IncrementalMaintainer(graph, index, ["technology"],
-                                           web_sim, params)
+                                           web_sim)
         stream = GraphStream(graph)
-        stream.subscribe(maintainer.on_event)
-        stream.apply(EdgeEvent(EventKind.FOLLOW, 0, 5, ("technology",), 0))
+        event = EdgeEvent(EventKind.FOLLOW, 0, 5, ("technology",), 0)
+        assert stream.apply(event)
+        maintainer.on_event(event)
+        maintainer.flush()
         fresh = LandmarkIndex.build(
             graph, [0], ["technology"], web_sim, params=params,
             landmark_params=LandmarkParams(num_landmarks=1, top_n=10))
